@@ -24,7 +24,6 @@ from .orderings import (
     BasisChange,
     Ordering,
     order_poly,
-    order_poly_foreign,
     order_word,
     order_word_foreign,
 )
@@ -41,8 +40,6 @@ from .contractions import (
 from .reorder import (
     ContractionLaplacian,
     derive,
-    derive_boson,
-    derive_grassmann,
     exp_laplacian,
     exponential_series,
     exponential_series_check,
@@ -75,7 +72,6 @@ __all__ = [
     "order_word",
     "order_poly",
     "order_word_foreign",
-    "order_poly_foreign",
     "ContractionMatrix",
     "ScalarContraction",
     "contraction_def",
@@ -85,8 +81,6 @@ __all__ = [
     "fermion_field_contraction",
     "full_contraction_from_split",
     "derive",
-    "derive_boson",
-    "derive_grassmann",
     "ContractionLaplacian",
     "exp_laplacian",
     "reorder_substitution",

@@ -10,17 +10,16 @@ operators iff their reductions coincide structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MissingEntry, RegistryMismatch
-from .scalars import GaussianRational, ScalarPoly
+from .scalars import GaussianRational, ScalarPoly, signed_sum, wrap_text
 
 __all__ = [
     "BOSON",
     "FERMION",
     "OperatorSymbol",
-    "Word",
     "OperatorPoly",
     "CommutationTable",
     "SymbolRegistry",
@@ -71,10 +70,6 @@ class OperatorSymbol:
         return f"OperatorSymbol({self.name!r}, key={self.key}{tail})"
 
 
-# A word is an ordered product of generators; the empty word is the identity.
-Word = tuple
-
-
 class SymbolRegistry:
     """Set of operator symbols with unique names."""
 
@@ -106,9 +101,6 @@ class SymbolRegistry:
 
     def __len__(self):
         return len(self._by_name)
-
-    def names(self):
-        return list(self._by_name)
 
 
 def _check_consistent_symbols(*polys):
@@ -259,51 +251,25 @@ class OperatorPoly:
     def operator_part(self) -> "OperatorPoly":
         return OperatorPoly({w: c for w, c in self.terms.items() if w})
 
-    def symbols(self):
-        out = {}
-        for word in self.terms:
-            for sym in word:
-                out[sym.name] = sym
-        return set(out.values())
-
     def map_coeffs(self, fn) -> "OperatorPoly":
         return OperatorPoly({w: fn(c) for w, c in self.terms.items()})
 
     # -- printing ----------------------------------------------------------------
+    def sorted_terms(self) -> list:
+        """``(word, coefficient)`` pairs in print order: longest words first,
+        then by factor names."""
+        return sorted(
+            self.terms.items(), key=lambda t: (-len(t[0]), [s.name for s in t[0]])
+        )
+
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for word in sorted(self.terms, key=lambda w: (-len(w), [s.name for s in w])):
-            coeff = self.terms[word]
-            body = "*".join(s.name for s in word)
-            cs = str(coeff)
-            if body:
-                if cs == "1":
-                    text = body
-                elif cs == "-1":
-                    text = f"-{body}"
-                elif "+" in cs[1:] or "-" in cs[1:] or "*" in cs or cs.endswith("i"):
-                    text = f"({cs})*{body}"
-                else:
-                    text = f"{cs}*{body}"
-            else:
-                text = cs if ("+" not in cs[1:] and "-" not in cs[1:]) else f"({cs})"
-            parts.append(text)
-        return _restitch(parts)
+        return signed_sum(
+            [(str(c), "*".join(s.name for s in w)) for w, c in self.sorted_terms()],
+            "*", wrap_text, spaced=True,
+        )
 
     def __repr__(self):
         return f"OperatorPoly({self})"
-
-
-def _restitch(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
 
 
 class CommutationTable:
@@ -417,7 +383,9 @@ def _ref_cache_key(ref_order):
     if ref_order is None:
         return "default"
     if callable(ref_order):
-        return id(ref_order)
+        # The callable itself, not its id(): the cache entry keeps it alive,
+        # so a new callable can never take over its address and its entries.
+        return ref_order
     return tuple(ref_order)
 
 

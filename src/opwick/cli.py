@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, OpwickError
 from .algebra import canonical_reduce
-from .config import RegistryConfig
+from .config import RegistryConfig, read_json
 from .contractions import contraction_def
 from .oracle import sweep
 from .parsing import expression_to_poly, parse_expression
@@ -181,9 +181,13 @@ def _cmd_numeric(config, args):
 def _cmd_quadratic(config, args):
     from .gaussian import reorder_quadratic_form
 
-    with open(args.d_file, "r", encoding="utf-8") as fh:
-        d_doc = json.load(fh)
-    D = np.array(d_doc["D"] if isinstance(d_doc, dict) else d_doc, dtype=complex)
+    d_doc = read_json(args.d_file)
+    try:
+        D = np.array(d_doc["D"] if isinstance(d_doc, dict) else d_doc, dtype=complex)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"covariance file {args.d_file}: {type(exc).__name__}: {exc}"
+        ) from None
     o = config.ordering(args.o_from)
     op = config.ordering(args.o_to)
     basis = config.basis(args.basis)

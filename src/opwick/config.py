@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from fractions import Fraction
 
-from .errors import ConfigError
+from .errors import ConfigError, SymbolNotInBasis
 from .algebra import (
     BOSON,
     FERMION,
@@ -24,9 +25,41 @@ from .orderings import BasisChange, Ordering
 from .parsing import RegistryView, expression_to_poly, parse_expression
 from .scalars import GaussianRational, NumericContext, ScalarPoly
 
-__all__ = ["RegistryConfig", "parse_scalar_value"]
+__all__ = ["RegistryConfig", "parse_scalar_value", "read_json"]
 
 _RESERVED = {"i", "comm", "acomm", "exp"}
+
+# What reading a malformed document raises: a missing key, a value of the
+# wrong type or form, a zero denominator, or a basis row or column outside
+# the basis's symbols.
+_MALFORMED = (
+    KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError,
+    SymbolNotInBasis,
+)
+
+
+def read_json(path):
+    """Parse the JSON file at ``path``; a file that cannot be read or parsed
+    raises ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        # JSONDecodeError, or UnicodeDecodeError for a file that is not text
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+
+
+@contextmanager
+def _section(name):
+    """Report a malformed ``name`` section of the document as a ConfigError."""
+    try:
+        yield
+    except _MALFORMED as exc:
+        raise ConfigError(
+            f"malformed {name!r} section: {type(exc).__name__}: {exc}"
+        ) from None
 
 
 class _ScalarOnlyConfig:
@@ -89,38 +122,33 @@ class RegistryConfig:
         if not isinstance(document, dict):
             raise ConfigError("configuration must be a JSON object")
         self.document = document
-        self.scalar_names = self._load_scalars(document.get("scalar_symbols", []))
-        self.registry = self._load_symbols(document.get("symbols", []))
-        self.table = self._load_table(document)
-        self.orderings = self._load_orderings(document.get("orderings", {}))
-        self.bases = self._load_bases(document.get("basis_changes", {}))
-        self.default_basis_name = document.get("default_basis")
-        if self.default_basis_name and self.default_basis_name not in self.bases:
-            raise ConfigError(
-                f"default_basis {self.default_basis_name!r} is not defined"
+        with _section("scalar_symbols"):
+            self.scalar_names = self._load_scalars(
+                document.get("scalar_symbols", [])
             )
-        self.numeric = {
-            name: _parse_numeric(value)
-            for name, value in document.get("numeric", {}).items()
-        }
+        with _section("symbols"):
+            self.registry = self._load_symbols(document.get("symbols", []))
+        with _section("brackets"):
+            self.table = self._load_table(document)
+        with _section("orderings"):
+            self.orderings = self._load_orderings(document.get("orderings", {}))
+        with _section("basis_changes"):
+            self.bases = self._load_bases(document.get("basis_changes", {}))
+            default = self.default_basis_name = document.get("default_basis")
+            if default and default not in self.bases:
+                raise ConfigError(f"default_basis {default!r} is not defined")
+        with _section("numeric"):
+            self.numeric = {
+                name: _parse_numeric(value)
+                for name, value in document.get("numeric", {}).items()
+            }
         self.modes_spec = document.get("modes", {})
         self.represent_spec = document.get("represent", {})
 
     # -- loaders -----------------------------------------------------------
     @classmethod
     def load(cls, path) -> "RegistryConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return cls(json.load(fh))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-
-    @classmethod
-    def loads(cls, text) -> "RegistryConfig":
-        try:
-            return cls(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from None
+        return cls(read_json(path))
 
     @classmethod
     def from_env_or_path(cls, path=None) -> "RegistryConfig":
@@ -172,12 +200,7 @@ class RegistryConfig:
                 raise ConfigError("bracket entries need a two-element pair")
             value = parse_scalar_value(item.get("value", "0"), self.scalar_names)
             entries[(pair[0], pair[1])] = value
-        try:
-            return CommutationTable(
-                self.registry, entries, document.get("mixed_rule")
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"invalid commutation table: {exc}") from None
+        return CommutationTable(self.registry, entries, document.get("mixed_rule"))
 
     def _load_orderings(self, entries):
         orderings = {}
@@ -195,28 +218,19 @@ class RegistryConfig:
                         raise ConfigError(
                             f"ordering {name!r} ranks unknown symbol {sym!r}"
                         )
-            try:
-                orderings[name] = Ordering(name, kind, rule, ranking, signature)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            orderings[name] = Ordering(name, kind, rule, ranking, signature)
         return orderings
 
     def _load_bases(self, entries):
         bases = {}
         for name, spec in entries.items():
-            try:
-                source = [self.registry[s] for s in spec.get("source", [])]
-                target = [self.registry[s] for s in spec.get("target", [])]
-            except KeyError as exc:
-                raise ConfigError(f"basis {name!r}: {exc}") from None
+            source = [self.registry[s] for s in spec.get("source", [])]
+            target = [self.registry[s] for s in spec.get("target", [])]
             table = {}
             for item in spec.get("entries", []):
                 value = parse_scalar_value(item.get("value", "0"), self.scalar_names)
                 table[(item["row"], item["col"])] = value
-            try:
-                bases[name] = BasisChange(source, target, table)
-            except Exception as exc:
-                raise ConfigError(f"basis {name!r}: {exc}") from None
+            bases[name] = BasisChange(source, target, table)
         return bases
 
     # -- accessors ------------------------------------------------------------
@@ -239,9 +253,6 @@ class RegistryConfig:
             return self.bases[self.default_basis_name]
         return BasisChange.identity(list(self.registry))
 
-    def source_symbols(self, basis_name=None):
-        return list(self.basis(basis_name).source.values())
-
     def numeric_context(self) -> NumericContext:
         return NumericContext(self.numeric)
 
@@ -256,25 +267,32 @@ class RegistryConfig:
         """Build the Fock registry; None when no modes are configured."""
         from .fock import ModeRegistry
 
-        bosonic = self.modes_spec.get("bosonic", [])
-        fermionic = self.modes_spec.get("fermionic", [])
-        if not bosonic and not fermionic:
-            return None
-        reg = ModeRegistry()
-        for mode in bosonic:
-            reg.add_boson(mode["name"], int(truncation or mode.get("truncation", 16)))
-        for mode in fermionic:
-            name = mode if isinstance(mode, str) else mode["name"]
-            reg.add_fermion(name)
-        for sym_name, recipe in self.represent_spec.items():
-            if sym_name not in self.registry:
-                raise ConfigError(f"represent entry for unknown symbol {sym_name!r}")
-            expr = []
-            for item in recipe:
-                coeff = parse_scalar_value(item.get("coeff", "1"), self.scalar_names)
-                kind = item.get("kind", "lower")
-                if kind not in ("lower", "raise"):
-                    raise ConfigError(f"unknown ladder kind {kind!r}")
-                expr.append((coeff, item["mode"], kind))
-            reg.map_symbol(sym_name, expr)
+        with _section("modes"):
+            bosonic = self.modes_spec.get("bosonic", [])
+            fermionic = self.modes_spec.get("fermionic", [])
+            if not bosonic and not fermionic:
+                return None
+            reg = ModeRegistry()
+            for mode in bosonic:
+                trunc = int(truncation or mode.get("truncation", 16))
+                reg.add_boson(mode["name"], trunc)
+            for mode in fermionic:
+                name = mode if isinstance(mode, str) else mode["name"]
+                reg.add_fermion(name)
+        with _section("represent"):
+            for sym_name, recipe in self.represent_spec.items():
+                if sym_name not in self.registry:
+                    raise ConfigError(
+                        f"represent entry for unknown symbol {sym_name!r}"
+                    )
+                expr = []
+                for item in recipe:
+                    coeff = parse_scalar_value(
+                        item.get("coeff", "1"), self.scalar_names
+                    )
+                    kind = item.get("kind", "lower")
+                    if kind not in ("lower", "raise"):
+                        raise ConfigError(f"unknown ladder kind {kind!r}")
+                    expr.append((coeff, item["mode"], kind))
+                reg.map_symbol(sym_name, expr)
         return reg

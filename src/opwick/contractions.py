@@ -89,14 +89,6 @@ class ContractionMatrix:
                         return False
         return True
 
-    def evaluate(self, ctx) -> dict:
-        """Numeric entries under a scalar assignment context."""
-        return {pair: value.evaluate(ctx) for pair, value in self.entries.items()}
-
-    def to_rows(self, order=None):
-        names = order or self.names()
-        return [[self.get(a, b) for b in names] for a in names]
-
     def __str__(self):
         parts = [
             f"C[{a},{b}] = {v}"
@@ -368,7 +360,6 @@ def full_contraction_from_split(psis, psidags, cbar) -> ContractionMatrix:
     annihilator first and ``-Cbar`` with the creator first.
     """
     symbols = tuple(psis) + tuple(psidags)
-    psi_names = {s.name for s in psis}
     entries = {}
     for a in psis:
         for b in psidags:
@@ -377,6 +368,4 @@ def full_contraction_from_split(psis, psidags, cbar) -> ContractionMatrix:
                 continue
             entries[(a.name, b.name)] = value
             entries[(b.name, a.name)] = -value
-    matrix = ContractionMatrix(symbols, entries, ANTISYMMETRIC)
-    matrix.psi_names = psi_names
-    return matrix
+    return ContractionMatrix(symbols, entries, ANTISYMMETRIC)

@@ -101,9 +101,6 @@ class VerificationReport:
     first_difference: str = ""
     seed: object = None
 
-    def descriptor(self) -> str:
-        return "*".join(s.name for s in self.word) if self.word else "1"
-
     def to_json(self) -> str:
         payload = {
             "word": [s.name for s in self.word],
@@ -185,9 +182,6 @@ class SweepReport:
     def all_passed(self) -> bool:
         return self.total > 0 and self.passed == self.total
 
-    def to_json_lines(self, reports) -> str:
-        return "\n".join(r.to_json() for r in reports)
-
 
 def sweep(o: Ordering, oprime: Ordering, basis: BasisChange,
           table: CommutationTable, max_len: int, pool,
@@ -197,7 +191,8 @@ def sweep(o: Ordering, oprime: Ordering, basis: BasisChange,
 
     Enumeration is deterministic (pool order, then lexicographic by factor
     choice).  ``sink`` receives each instance report when provided; a
-    JSON-lines stream can be produced with ``report.to_json_lines``.
+    JSON-lines stream is one :meth:`VerificationReport.to_json` line per
+    report passed to ``sink``, as ``opwick verify --jsonl`` writes it.
     """
     pool = list(pool)
     contraction = contraction_def(o, oprime, basis, table, ref_order)

@@ -4,7 +4,9 @@ A permutation ordering stably sorts a word by a comparator (highest rank
 leftmost) and attaches ``signature**inversions`` where only swaps of two
 fermionic factors count.  The symmetric (Weyl) ordering averages over all
 arrangements of a bosonic word.  An ordering defined on a target symbol set
-is applied to source words indirectly through a linear basis change.
+is applied to source words by expanding them through a linear basis change
+(:meth:`BasisChange.expand_word`, the one expansion routine) and ordering the
+expanded polynomial with :func:`order_poly`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "order_word",
     "order_poly",
     "order_word_foreign",
-    "order_poly_foreign",
 ]
 
 PERMUTATION = "permutation"
@@ -217,6 +218,10 @@ class BasisChange:
             if not row:
                 raise SymbolNotInBasis(f"source symbol {name!r} has an empty row")
             self._rows[name] = row
+        self.is_identity = self.source == self.target and all(
+            len(row) == 1 and row[0][0].name == name and row[0][1] == ScalarPoly.one()
+            for name, row in self._rows.items()
+        )
 
     @classmethod
     def identity(cls, symbols) -> "BasisChange":
@@ -227,15 +232,6 @@ class BasisChange:
             {(s.name, s.name): ScalarPoly.one() for s in symbols},
         )
 
-    @property
-    def is_identity(self) -> bool:
-        if set(self.source) != set(self.target):
-            return False
-        return all(
-            len(row) == 1 and row[0][0].name == name and row[0][1] == ScalarPoly.one()
-            for name, row in self._rows.items()
-        )
-
     def row(self, sym) -> list:
         name = sym.name if isinstance(sym, OperatorSymbol) else sym
         try:
@@ -243,26 +239,32 @@ class BasisChange:
         except KeyError:
             raise SymbolNotInBasis(f"symbol {name!r} has no expansion row") from None
 
-    def coefficient(self, alpha, k) -> ScalarPoly:
-        a = alpha.name if isinstance(alpha, OperatorSymbol) else alpha
-        b = k.name if isinstance(k, OperatorSymbol) else k
-        return self.entries.get((a, b), ScalarPoly.zero())
-
-    def expand_symbol(self, sym) -> OperatorPoly:
-        out = {}
-        for target, coeff in self.row(sym):
-            out[(target,)] = coeff
-        return OperatorPoly(out)
-
     def expand_word(self, word) -> OperatorPoly:
-        """Distribute the expansion of each factor; no reordering performed."""
-        out = OperatorPoly.one()
-        for sym in word:
-            out = out * self.expand_symbol(sym)
-        return out
+        """Distribute the expansion of each factor; no reordering performed.
+
+        Each choice of one target per factor is a target word whose
+        coefficient is the product of the chosen row entries.
+        """
+        terms = {}
+        for choice in itertools.product(*(self.row(sym) for sym in word)):
+            coeff = ScalarPoly.one()
+            for _, c in choice:
+                coeff = coeff * c
+            terms[tuple(target for target, _ in choice)] = coeff
+        return OperatorPoly(terms)
 
     def expand_poly(self, p) -> OperatorPoly:
+        """Linear extension of :meth:`expand_word`.
+
+        An identity basis returns ``p`` itself once every symbol of ``p`` is
+        found to be the basis's own symbol; any other symbol takes the general
+        path, which raises ``SymbolNotInBasis`` for a symbol with no row.
+        """
         p = OperatorPoly.coerce(p)
+        if self.is_identity and all(
+            self.source.get(sym.name) == sym for word in p.terms for sym in word
+        ):
+            return p
         out = OperatorPoly.zero()
         for word, coeff in p.terms.items():
             out = out + self.expand_word(word).scale(coeff)
@@ -293,27 +295,5 @@ class BasisChange:
 
 
 def order_word_foreign(oprime: Ordering, word, basis: BasisChange) -> OperatorPoly:
-    """Apply a target-side ordering to a source word through the basis change.
-
-    Each factor is expanded over the target symbols, the product distributed,
-    and the ordering applied to every resulting target word.
-    """
-    word = tuple(word)
-    rows = [basis.row(sym) for sym in word]
-    out = OperatorPoly.zero()
-    for choice in itertools.product(*rows):
-        coeff = ScalarPoly.one()
-        target_word = []
-        for target, c in choice:
-            coeff = coeff * c
-            target_word.append(target)
-        out = out + order_word(oprime, tuple(target_word)).scale(coeff)
-    return out
-
-
-def order_poly_foreign(oprime: Ordering, p, basis: BasisChange) -> OperatorPoly:
-    p = OperatorPoly.coerce(p)
-    out = OperatorPoly.zero()
-    for word, coeff in p.terms.items():
-        out = out + order_word_foreign(oprime, word, basis).scale(coeff)
-    return out
+    """Apply a target-side ordering to a source word through the basis change."""
+    return order_poly(oprime, basis.expand_word(word))

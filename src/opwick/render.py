@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .algebra import OperatorPoly
 from .contractions import ContractionMatrix
-from .scalars import ScalarPoly, _gaussian_latex
+from .scalars import ScalarPoly, signed_sum
 
 __all__ = [
     "poly_to_text",
@@ -12,15 +12,7 @@ __all__ = [
     "poly_to_latex",
     "contraction_to_json",
     "contraction_to_latex",
-    "ORDER_LATEX",
 ]
-
-ORDER_LATEX = {
-    "normal": r"\mathcal{N}",
-    "antinormal": r"\mathcal{A}",
-    "weyl": r"\mathcal{W}",
-    "time": r"\mathcal{T}",
-}
 
 
 def _symbol_latex(name: str) -> str:
@@ -35,11 +27,11 @@ def poly_to_text(p: OperatorPoly) -> str:
 
 def poly_to_json(p: OperatorPoly) -> dict:
     terms = []
-    for word in sorted(p.terms, key=lambda w: (-len(w), [s.name for s in w])):
+    for word, coeff in p.sorted_terms():
         terms.append(
             {
                 "word": [s.name for s in word],
-                "coeff": _scalar_json(p.terms[word]),
+                "coeff": _scalar_json(coeff),
             }
         )
     return {"terms": terms}
@@ -58,32 +50,19 @@ def _scalar_json(s: ScalarPoly):
 
 
 def poly_to_latex(p: OperatorPoly) -> str:
-    if not p.terms:
-        return "0"
-    parts = []
-    for word in sorted(p.terms, key=lambda w: (-len(w), [s.name for s in w])):
-        coeff = p.terms[word]
-        body = "\\,".join(_symbol_latex(s.name) for s in word)
-        cs = coeff.to_latex()
-        if body:
-            if cs == "1":
-                text = body
-            elif cs == "-1":
-                text = f"-{body}"
-            else:
-                needs_wrap = "+" in cs[1:] or ("-" in cs[1:] and "\\tfrac" not in cs)
-                text = (f"\\left({cs}\\right)" if needs_wrap else cs) + "\\," + body
-        else:
-            text = cs
-        parts.append(text)
-    out = parts[0]
-    for part in parts[1:]:
-        out += part if part.startswith("-") else "+" + part
-    return out
+    terms = [
+        (c.to_latex(), "\\,".join(_symbol_latex(s.name) for s in w))
+        for w, c in p.sorted_terms()
+    ]
+    return signed_sum(terms, "\\,", _wrap_latex)
 
 
-def ordering_latex(name: str) -> str:
-    return ORDER_LATEX.get(name, f"\\mathcal{{{name[:1].upper()}}}")
+def _wrap_latex(cs: str, body: str) -> str:
+    """Bracket a LaTeX coefficient with an inner sign, unless that sign is a
+    minus in a coefficient holding a ``\\tfrac``; constants stay bare."""
+    if body and ("+" in cs[1:] or ("-" in cs[1:] and "\\tfrac" not in cs)):
+        return f"\\left({cs}\\right)"
+    return cs
 
 
 def contraction_to_json(c: ContractionMatrix) -> dict:

@@ -1,12 +1,15 @@
 """Derivative machinery and the reordering transforms between orderings.
 
-Bosonic derivatives delete occurrences of a symbol word-wise; Grassmann
-derivatives add a sign per fermionic factor passed.  The contraction
-Laplacian ``(1/2) sum C[a,b] d_b d_a`` generates the exponential form of the
+One derivative, :func:`derive`, serves both statistics: it deletes each
+occurrence of a symbol word-wise and, for a fermionic symbol, adds a sign per
+fermionic factor passed.  The contraction Laplacian
+``(1/2) sum C[a,b] d_b d_a`` generates the exponential form of the
 reordering transform; the substitution form replaces each factor ``x`` by
-``x + sum_b C[x,b] d_b`` acting on everything to its right before the target
-ordering is applied.  Both forms agree with direct reordering on every
-input, which the oracle module checks instance by instance.
+``x + sum_b C[x,b] d_b`` acting on everything to its right.  Both forms end
+in the same step: expand through the basis change, then apply the target
+ordering (``order_poly(oprime, basis.expand_poly(p))``).  Both agree with
+direct reordering on every input, which the oracle module checks instance
+by instance.
 """
 
 from __future__ import annotations
@@ -26,12 +29,10 @@ from .algebra import (
     canonical_reduce,
 )
 from .contractions import ContractionMatrix
-from .orderings import BasisChange, Ordering, order_poly, order_poly_foreign
+from .orderings import BasisChange, Ordering, order_poly
 from .scalars import ScalarPoly
 
 __all__ = [
-    "derive_boson",
-    "derive_grassmann",
     "derive",
     "ContractionLaplacian",
     "exp_laplacian",
@@ -44,31 +45,10 @@ __all__ = [
     "exponential_series_check",
 ]
 
-BOSONIC = "bosonic"
-GRASSMANN = "grassmann"
-
-
-def derive_boson(p, sym: OperatorSymbol) -> OperatorPoly:
-    """c-number derivative: delete each occurrence in place, no sign."""
-    if sym.is_fermion:
-        raise FlavorMismatch(f"{sym.name} is fermionic; use the Grassmann derivative")
-    return _derive(p, sym)
-
-
-def derive_grassmann(p, sym: OperatorSymbol) -> OperatorPoly:
-    """Grassmann derivative: ``(-1)**(fermionic factors left of the hit)``."""
-    if not sym.is_fermion:
-        raise FlavorMismatch(f"{sym.name} is bosonic; use the c-number derivative")
-    return _derive(p, sym)
-
-
 def derive(p, sym: OperatorSymbol) -> OperatorPoly:
-    """Flavor-dispatching derivative with ``[d_a, x_b] = delta`` (bosons)
-    and ``{d_a, x_b} = delta`` (fermions)."""
-    return _derive(p, sym)
-
-
-def _derive(p, sym: OperatorSymbol) -> OperatorPoly:
+    """Derivative with ``[d_a, x_b] = delta`` (bosons) and ``{d_a, x_b} = delta``
+    (fermions): each occurrence of ``sym`` is deleted in place, with sign
+    ``(-1)**(fermionic factors left of the hit)`` when ``sym`` is fermionic."""
     p = OperatorPoly.coerce(p)
     grassmann = sym.is_fermion
     terms = {}
@@ -113,7 +93,7 @@ class ContractionLaplacian:
         out = OperatorPoly.zero()
         half = ScalarPoly.const(Fraction(1, 2))
         for sa, sb, value in self._pairs:
-            out = out + _derive(_derive(p, sa), sb).scale(value * half)
+            out = out + derive(derive(p, sa), sb).scale(value * half)
         return out
 
     def apply_exp(self, p, negate=False) -> OperatorPoly:
@@ -152,7 +132,7 @@ def reorder_exponential(o: Ordering, oprime: Ordering, basis: BasisChange,
     _check_pair(contraction, o, oprime)
     p = OperatorPoly.coerce(p)
     smoothed = exp_laplacian(contraction, p)
-    return order_poly_foreign(oprime, smoothed, basis)
+    return order_poly(oprime, basis.expand_poly(smoothed))
 
 
 def _check_pair(contraction: ContractionMatrix, o: Ordering, oprime: Ordering):
@@ -199,7 +179,7 @@ def reorder_substitution(o: Ordering, oprime: Ordering, basis: BasisChange,
             tail = expand(rest)
             result = OperatorPoly.from_symbol(head) * tail
             for b, value in shift_rows(head):
-                result = result + _derive(tail, b).scale(value)
+                result = result + derive(tail, b).scale(value)
         cache[word] = result
         return result
 
@@ -211,7 +191,7 @@ def reorder_substitution(o: Ordering, oprime: Ordering, basis: BasisChange,
                     f"symbol {sym.name!r} is outside the contraction index set"
                 )
         out = out + expand(word).scale(coeff)
-    return order_poly_foreign(oprime, out, basis)
+    return order_poly(oprime, basis.expand_poly(out))
 
 
 def smooth_univariate(coeffs, c_value) -> list:
@@ -388,7 +368,7 @@ def exponential_series(o: Ordering, basis: BasisChange, lambdas,
     for n in range(max_order + 1):
         if n > 0:
             power = power * terms
-        contrib = order_poly_foreign(o, power, basis)
+        contrib = order_poly(o, basis.expand_poly(power))
         out = out + contrib.map_coeffs(
             lambda c, n=n: c * Fraction(1, math.factorial(n))
         )

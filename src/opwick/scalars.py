@@ -94,9 +94,6 @@ class GaussianRational:
             n >>= 1
         return out
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     # -- predicates and conversions ---------------------------------------
     @property
     def is_zero(self) -> bool:
@@ -360,9 +357,6 @@ class ScalarPoly:
         }
         return ScalarPoly(kept)
 
-    def coefficient_of(self, mono: Mono) -> GaussianRational:
-        return self.terms.get(tuple(sorted(mono)), ZERO)
-
     # -- substitution --------------------------------------------------------
     def substitute_power(self, name: str, order: int, value) -> "ScalarPoly":
         """Rewrite ``name**order -> value`` in every monomial.
@@ -384,19 +378,6 @@ class ScalarPoly:
             terms[new_mono] = new_coeff if acc is None else acc + new_coeff
         return ScalarPoly(terms)
 
-    def substitute_symbol(self, name: str, replacement) -> "ScalarPoly":
-        replacement = ScalarPoly.coerce(replacement)
-        out = ScalarPoly.zero()
-        for mono, coeff in self.terms.items():
-            factor = ScalarPoly({(): coeff})
-            for sym, e in mono:
-                if sym == name:
-                    factor = factor * replacement**e
-                else:
-                    factor = factor * ScalarPoly.symbol(sym, e)
-            out = out + factor
-        return out
-
     # -- numeric evaluation ---------------------------------------------------
     def evaluate(self, assignments) -> complex:
         """Substitute numeric values for every free symbol."""
@@ -414,56 +395,56 @@ class ScalarPoly:
 
     # -- printing ----------------------------------------------------------
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
+        terms = []
         for mono in sorted(self.terms, key=_mono_key):
-            coeff = self.terms[mono]
-            factors = [f"{n}^{e}" if e != 1 else n for n, e in mono]
-            body = "*".join(factors)
-            cs = coeff.to_string()
-            if body:
-                if cs == "1":
-                    text = body
-                elif cs == "-1":
-                    text = f"-{body}"
-                elif "+" in cs[1:] or "-" in cs[1:] or cs.endswith("i"):
-                    text = f"({cs})*{body}"
-                else:
-                    text = f"{cs}*{body}"
-            else:
-                text = cs if ("+" not in cs[1:] and "-" not in cs[1:]) else f"({cs})"
-            parts.append(text)
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+            body = "*".join(f"{n}^{e}" if e != 1 else n for n, e in mono)
+            terms.append((self.terms[mono].to_string(), body))
+        return signed_sum(terms, "*", wrap_text)
 
     def __repr__(self):
         return f"ScalarPoly({self})"
 
     def to_latex(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
+        terms = []
         for mono in sorted(self.terms, key=_mono_key):
-            coeff = self.terms[mono]
             body = " ".join(f"{n}^{{{e}}}" if e != 1 else n for n, e in mono)
-            cs = _gaussian_latex(coeff)
-            if body:
-                if cs == "1":
-                    text = body
-                elif cs == "-1":
-                    text = f"-{body}"
-                else:
-                    text = f"{cs}\\,{body}"
-            else:
-                text = cs
-            parts.append(text)
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+            terms.append((_gaussian_latex(self.terms[mono]), body))
+        return signed_sum(terms, "\\,")
+
+
+def signed_sum(terms, glue, wrap=None, spaced=False) -> str:
+    """Print ``(coefficient text, body text)`` pairs as one signed sum.
+
+    Every polynomial printer goes through here and passes only its glyphs:
+    ``glue`` joins a coefficient to its body and ``spaced`` puts spaces
+    around the signs between terms.  ``wrap(coefficient, body)`` returns the
+    coefficient as printed, bracketed where the printer's rule asks.  A
+    coefficient of 1 or -1 before a body prints as its sign alone; an empty
+    body prints the coefficient alone; no terms print as ``0``.
+    """
+    parts = []
+    for cs, body in terms:
+        if body and cs in ("1", "-1"):
+            parts.append(cs[:-1] + body)
+            continue
+        if wrap is not None:
+            cs = wrap(cs, body)
+        parts.append(cs + glue + body if body else cs)
+    if not parts:
+        return "0"
+    plus, minus = (" + ", " - ") if spaced else ("+", "-")
+    out = parts[0]
+    for part in parts[1:]:
+        out += minus + part[1:] if part.startswith("-") else plus + part
+    return out
+
+
+def wrap_text(cs: str, body: str) -> str:
+    """Parenthesize a plain-text coefficient that would not read as one factor."""
+    inner_sign = "+" in cs[1:] or "-" in cs[1:]
+    if inner_sign or (body and ("*" in cs or cs.endswith("i"))):
+        return f"({cs})"
+    return cs
 
 
 def _frac_latex(f: Fraction) -> str:
@@ -494,11 +475,6 @@ class NumericContext:
 
     def __init__(self, assignments=None):
         self.assignments = dict(assignments or {})
-
-    def assign(self, name: str, value: complex) -> "NumericContext":
-        out = NumericContext(self.assignments)
-        out.assignments[name] = complex(value)
-        return out
 
     def __contains__(self, name):
         return name in self.assignments

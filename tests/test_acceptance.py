@@ -27,7 +27,7 @@ from opwick import (
     contraction_def,
     contraction_theta,
     definitional_order,
-    derive_grassmann,
+    derive,
     exponential_series_check,
     reorder_substitution,
     sweep,
@@ -425,11 +425,11 @@ def test_acceptance_7_structural_invariants():
             terms[word] = ScalarPoly.const(rng.randint(-3, 3))
         poly = OperatorPoly(terms)
         for s1 in pool:
-            if derive_grassmann(derive_grassmann(poly, s1), s1).is_zero is False:
+            if derive(derive(poly, s1), s1).is_zero is False:
                 nilpotent_ok = False
             for s2 in pool:
-                d12 = derive_grassmann(derive_grassmann(poly, s1), s2)
-                d21 = derive_grassmann(derive_grassmann(poly, s2), s1)
+                d12 = derive(derive(poly, s1), s2)
+                d21 = derive(derive(poly, s2), s1)
                 if not (d12 + d21).is_zero:
                     nilpotent_ok = False
     checks["grassmann nilpotency"] = nilpotent_ok

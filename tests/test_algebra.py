@@ -1,5 +1,6 @@
 """Operator words, commutation tables, canonical reduction, operator equality."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -223,3 +224,20 @@ def test_scalar_part_and_operator_part(boson_mode):
     p = canonical_reduce(word_poly(a, ad), table)
     assert p.scalar_part() == ScalarPoly.one()
     assert p.operator_part() == word_poly(ad, a)
+
+
+def test_reduce_cache_keeps_callable_orders_apart(boson_mode):
+    # A new callable reference order allocated where a dropped one lived
+    # must not be served the dropped one's cached reductions.
+    a, ad, table = boson_mode
+    word = word_poly(a, ad)
+    for _ in range(20):
+        daggers_left = lambda sym: 0 if sym.dagger else 1
+        canonical_reduce(word, table, daggers_left)
+        del daggers_left
+        gc.collect()
+        daggers_right = lambda sym: 1 if sym.dagger else 0
+        fresh = CommutationTable(list(table.registry), table.entries())
+        assert canonical_reduce(word, table, daggers_right) == canonical_reduce(
+            word, fresh, daggers_right
+        )

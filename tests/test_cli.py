@@ -229,3 +229,81 @@ def test_missing_config_is_reported():
     finally:
         if old is not None:
             os.environ["GWT_CONFIG"] = old
+
+
+# -- malformed input ------------------------------------------------------------
+
+
+def _edited(tmp_path, name, edit):
+    with open(config_path(name), encoding="utf-8") as fh:
+        document = json.load(fh)
+    edit(document)
+    path = tmp_path / f"edited_{name}"
+    path.write_text(json.dumps(document, ensure_ascii=False), encoding="utf-8")
+    return str(path)
+
+
+def _reorder(path, o, expression):
+    return ["-c", path, "reorder", "--from", o, "--to", "normal", expression]
+
+
+def _numeric(path):
+    return ["-c", path, "numeric", "--block", "5", "a*a†", "a†*a + 1"]
+
+
+def _quadratic(tmp_path, d_text=None):
+    d_file = tmp_path / "D.json"
+    if d_text is not None:
+        d_file.write_text(d_text, encoding="utf-8")
+    return ["-c", QUAD, "quadratic", "--D", str(d_file), "--from", "qp",
+            "--to", "normal"]
+
+
+def _quadrature_entry(key):
+    return lambda doc: doc["basis_changes"]["quadrature"]["entries"][0].pop(key)
+
+
+def _timed_symbol(value):
+    def edit(doc):
+        doc["symbols"][0] = value
+    return edit
+
+
+def _boson_mode(edit):
+    return lambda doc: edit(doc["modes"]["bosonic"][0])
+
+
+MALFORMED = {
+    "basis_entry_without_row": lambda tmp: _reorder(
+        _edited(tmp, "quadrature.json", _quadrature_entry("row")), "qp", "q*p"),
+    "basis_entry_without_col": lambda tmp: _reorder(
+        _edited(tmp, "quadrature.json", _quadrature_entry("col")), "qp", "q*p"),
+    "mode_without_name": lambda tmp: _numeric(
+        _edited(tmp, "boson_one_mode.json", _boson_mode(lambda m: m.pop("name")))),
+    "truncation_not_a_number": lambda tmp: _numeric(
+        _edited(tmp, "boson_one_mode.json",
+                _boson_mode(lambda m: m.update(truncation="x")))),
+    "symbol_key_not_a_number": lambda tmp: _reorder(
+        _edited(tmp, "fermion_timed.json",
+                _timed_symbol({"id": "c1", "statistics": "fermion", "key": "1/x"})),
+        "time", "c1*c1†"),
+    "symbol_key_zero_denominator": lambda tmp: _reorder(
+        _edited(tmp, "fermion_timed.json",
+                _timed_symbol({"id": "c1", "statistics": "fermion", "key": "1/0"})),
+        "time", "c1*c1†"),
+    "symbol_entry_is_a_string": lambda tmp: _reorder(
+        _edited(tmp, "fermion_timed.json", _timed_symbol("c1")), "time", "c1*c1†"),
+    "config_missing": lambda tmp: _reorder(str(tmp / "absent.json"), "weyl", "a"),
+    "config_is_a_directory": lambda tmp: _reorder(str(tmp), "weyl", "a"),
+    "covariance_missing": lambda tmp: _quadratic(tmp),
+    "covariance_without_D": lambda tmp: _quadratic(tmp, '{"C": [[1, 0], [0, 1]]}'),
+    "covariance_not_numeric": lambda tmp: _quadratic(
+        tmp, '{"D": [["x", 0], [0, -0.5]]}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_a_typed_config_error(case, tmp_path):
+    status, out = run_command(MALFORMED[case](tmp_path))
+    assert status == 1
+    assert json.loads(out)["error"]["type"] == "ConfigError"

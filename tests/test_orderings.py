@@ -1,8 +1,10 @@
 """Permutation and symmetric orderings, basis changes, foreign ordering."""
 
 import itertools
+import random
 import warnings
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -20,6 +22,7 @@ from opwick import (
     order_word,
     order_word_foreign,
 )
+from opwick.config import RegistryConfig
 from opwick.errors import IncomparableKeys, SymbolNotInBasis, SymmetricOnFermions
 from opwick.orderings import EqualKeyFermionWarning
 
@@ -200,3 +203,75 @@ def test_basis_change_rejects_empty_row():
     a = OperatorSymbol("a")
     with pytest.raises(SymbolNotInBasis):
         BasisChange([q], [a], {})
+
+
+# -- basis expansion against the reference product chain ---------------------------
+
+
+def _expand_word_reference(basis, word):
+    """Expansion as the product of each factor's row, one factor at a time."""
+    out = OperatorPoly.one()
+    for sym in word:
+        out = out * OperatorPoly({(target,): c for target, c in basis.row(sym)})
+    return out
+
+
+def _expand_poly_reference(basis, p):
+    out = OperatorPoly.zero()
+    for word, coeff in p.terms.items():
+        out = out + _expand_word_reference(basis, word).scale(coeff)
+    return out
+
+
+def _order_word_foreign_reference(o, word, basis):
+    """Order every target word of the distributed expansion, one by one."""
+    out = OperatorPoly.zero()
+    for choice in itertools.product(*(basis.row(sym) for sym in word)):
+        coeff = ScalarPoly.one()
+        for _, c in choice:
+            coeff = coeff * c
+        out = out + order_word(o, tuple(target for target, _ in choice)).scale(coeff)
+    return out
+
+
+def _quadrature_config():
+    path = resources.files("opwick") / "configs" / "quadrature.json"
+    return RegistryConfig.load(path)
+
+
+@pytest.mark.parametrize("which", ["quadrature", "identity"])
+def test_expansion_matches_reference_product_chain(which):
+    cfg = _quadrature_config()
+    if which == "quadrature":
+        basis = cfg.basis("quadrature")
+    else:
+        basis = BasisChange.identity(list(cfg.registry))
+    orderings = [cfg.ordering(name) for name in ("normal", "antinormal", "weyl")]
+    pool = list(basis.source.values())
+    s = ScalarPoly.symbol("s")
+    coeffs = [ScalarPoly.one(), -ScalarPoly.i(), s**2 - 1, HALF * 3]
+    rng = random.Random(f"expansion:{which}")
+    for _ in range(30):
+        p = OperatorPoly.zero()
+        for _ in range(rng.randint(1, 3)):
+            word = tuple(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+            assert basis.expand_word(word) == _expand_word_reference(basis, word)
+            for o in orderings:
+                assert order_word_foreign(o, word, basis) == (
+                    _order_word_foreign_reference(o, word, basis)
+                )
+            p = p + OperatorPoly.from_word(word, rng.choice(coeffs))
+        assert basis.expand_poly(p) == _expand_poly_reference(basis, p)
+
+
+def test_identity_expansion_checks_every_symbol():
+    cfg = _quadrature_config()
+    basis = BasisChange.identity(list(cfg.registry))
+    a, ad = cfg.registry["a"], cfg.registry["a†"]
+    with pytest.raises(SymbolNotInBasis):
+        basis.expand_poly(OperatorPoly.from_word((a, OperatorSymbol("r"), ad)))
+    # A symbol named like a basis symbol but carrying other data expands to
+    # the basis's own symbol, as the reference chain does.
+    relabeled = OperatorPoly.from_word((OperatorSymbol("a", key=7), ad))
+    assert basis.expand_poly(relabeled) == _expand_poly_reference(basis, relabeled)
+    assert basis.expand_poly(relabeled) == OperatorPoly.from_word((a, ad))

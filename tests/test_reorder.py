@@ -20,8 +20,6 @@ from opwick import (
     canonical_reduce,
     contraction_def,
     derive,
-    derive_boson,
-    derive_grassmann,
     exp_laplacian,
     exponential_series_check,
     express_univariate,
@@ -31,7 +29,7 @@ from opwick import (
     reorder_univariate,
     reorder_multivariate,
 )
-from opwick.errors import ContractionMismatch, FlavorMismatch, NotUnivariate
+from opwick.errors import ContractionMismatch, NotUnivariate
 from opwick.reorder import reorder_exponential, smooth_univariate
 
 HALF = ScalarPoly.const(Fraction(1, 2))
@@ -46,44 +44,35 @@ def W(*syms):
 
 def test_boson_derivative_deletes_occurrences(boson_mode):
     a, ad, _ = boson_mode
-    got = derive_boson(W(a, ad, a), a)
+    got = derive(W(a, ad, a), a)
     assert got == W(ad, a) + W(a, ad)
 
 
 def test_boson_derivative_no_occurrence(boson_mode):
     a, ad, _ = boson_mode
-    assert derive_boson(W(ad, ad), a).is_zero
+    assert derive(W(ad, ad), a).is_zero
 
 
 def test_boson_derivative_power_rule():
     q = OperatorSymbol("q")
-    got = derive_boson(W(q, q), q)
+    got = derive(W(q, q), q)
     assert got == OperatorPoly.from_word((q,), 2)
-
-
-def test_boson_derivative_flavor_mismatch():
-    c = OperatorSymbol("c", FERMION)
-    with pytest.raises(FlavorMismatch):
-        derive_boson(W(c), c)
-    q = OperatorSymbol("q")
-    with pytest.raises(FlavorMismatch):
-        derive_grassmann(W(q), q)
 
 
 def test_grassmann_derivative_single():
     c = OperatorSymbol("c", FERMION)
-    assert derive_grassmann(W(c), c) == OperatorPoly.one()
+    assert derive(W(c), c) == OperatorPoly.one()
 
 
 def test_grassmann_derivative_sign_past_other_fermion():
     c = OperatorSymbol("c", FERMION)
     cd = OperatorSymbol("c†", FERMION, dagger=True)
-    got = derive_grassmann(W(cd, c), c)
+    got = derive(W(cd, c), c)
     assert got == OperatorPoly.from_word((cd,), -1)
     # anticommutation property {d_c, c} = 1 on this word
     table = CommutationTable([c, cd], {("c", "c†"): ScalarPoly.one()})
-    lhs = derive_grassmann(OperatorPoly.from_symbol(c) * W(cd), c) + (
-        OperatorPoly.from_symbol(c) * derive_grassmann(W(cd), c)
+    lhs = derive(OperatorPoly.from_symbol(c) * W(cd), c) + (
+        OperatorPoly.from_symbol(c) * derive(W(cd), c)
     )
     assert poly_equal(lhs, W(cd), table)
 
@@ -92,7 +81,7 @@ def test_grassmann_nilpotent():
     c = OperatorSymbol("c", FERMION)
     cd = OperatorSymbol("c†", FERMION, dagger=True)
     p = W(cd, c) + W(c, cd).scale(3)
-    assert derive_grassmann(derive_grassmann(p, c), c).is_zero
+    assert derive(derive(p, c), c).is_zero
 
 
 @st.composite
@@ -118,10 +107,10 @@ def fermion_polys(draw):
 def test_grassmann_derivatives_anticommute(data):
     syms, poly = data
     c1, c1d, _ = syms
-    d12 = derive_grassmann(derive_grassmann(poly, c1), c1d)
-    d21 = derive_grassmann(derive_grassmann(poly, c1d), c1)
+    d12 = derive(derive(poly, c1), c1d)
+    d21 = derive(derive(poly, c1d), c1)
     assert (d12 + d21).is_zero
-    assert derive_grassmann(derive_grassmann(poly, c1), c1).is_zero
+    assert derive(derive(poly, c1), c1).is_zero
 
 
 # -- contraction Laplacian ------------------------------------------------------
