@@ -226,8 +226,10 @@ def _cnum(z):
 
 
 def _cmd_squeeze(config, args):
+    from .fock import check_block
     from .gaussian import squeeze_normal_form
 
+    check_block(args.block)  # before the pipeline, not after it has run
     report = squeeze_normal_form(args.g, args.trunc)
     block = min(args.block, args.trunc - 2)
     doc = {

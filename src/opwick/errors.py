@@ -101,6 +101,10 @@ class DimensionTooLarge(OpwickError):
     """Dense matrix computation above the supported dimension cap."""
 
 
+class ParameterOutOfRange(OpwickError):
+    """A numeric parameter lies outside the range its computation accepts."""
+
+
 class ExprSyntaxError(OpwickError):
     """Expression text failed to parse."""
 

@@ -17,13 +17,20 @@ import scipy.linalg
 from .errors import (
     IndexOutOfRange,
     NotDefinite,
+    ParameterOutOfRange,
     ResultNotDefinite,
     TruncationTooSmall,
 )
 from .algebra import CommutationTable, OperatorSymbol
 from .contractions import contraction_def
 from .orderings import BasisChange, Ordering
-from .fock import MatrixRep, ModeRegistry, matexp
+from .fock import (
+    LadderMap,
+    MatrixRep,
+    ModeRegistry,
+    check_dense_dimension,
+    matexp,
+)
 from .scalars import ScalarPoly
 
 __all__ = [
@@ -214,12 +221,6 @@ def _two_mode_registry(truncation: int) -> ModeRegistry:
     return reg
 
 
-def _mode_occupation_arrays(truncation: int):
-    na = np.repeat(np.arange(truncation), truncation)
-    nb = np.tile(np.arange(truncation), truncation)
-    return na, nb
-
-
 @dataclass
 class SqueezeReport:
     """Outcome of the two-mode squeezing pipeline at one parameter value.
@@ -334,17 +335,39 @@ def _squeeze_exponent_from_pipeline(g: float, covariance: float):
     return prefactor, kappa_down, kappa_up, nu_a
 
 
-def _normal_exponential_matrix(reg: ModeRegistry, truncation: int,
-                               kappa_down, kappa_up, nu,
+def _nilpotent_exp(kappa, word: LadderMap) -> LadderMap:
+    """``exp(kappa * word)`` for a nilpotent ladder word, by its series.
+
+    Each power of the word moves its one diagonal a shift further; once the
+    shift leaves the basis the power is the empty map, exactly zero, and the
+    series ``sum_k kappa^k/k! word^k`` ends there.
+    """
+    total = term = LadderMap.diagonal(np.ones(word.dim))
+    for k in range(1, word.dim + 1):
+        term = (kappa / k) * (term @ word)
+        if not term.diagonals:
+            break
+        total = total + term
+    return total
+
+
+def _normal_exponential_matrix(reg: ModeRegistry, kappa_down, kappa_up, nu,
                                scale) -> np.ndarray:
-    """``scale * N[exp(kappa_up a†b† + nu(a†a + b†b) + kappa_down ab)]``."""
-    A = reg.lowering("m_a")
-    B = reg.lowering("m_b")
-    up = scipy.linalg.expm(kappa_up * (A.conj().T @ B.conj().T))
-    down = scipy.linalg.expm(kappa_down * (A @ B))
-    na, nb = _mode_occupation_arrays(truncation)
-    diag = (1.0 + nu) ** (na + nb)
-    return scale * (up @ (diag[:, None] * down))
+    """``scale * N[exp(kappa_up a†b† + nu(a†a + b†b) + kappa_down ab)]``.
+
+    Normal ordering factors the exponential into
+    ``exp(kappa_up a†b†) (1 + nu)^(n_a + n_b) exp(kappa_down ab)``.  On the
+    truncated space ``ab`` and ``a†b†`` are nilpotent (their truncation-th
+    powers vanish), so the outer factors are finite series of ladder maps and
+    the product is formed diagonal by diagonal, with no dense matrix product
+    and no matrix exponential.
+    """
+    down = _nilpotent_exp(
+        kappa_down, reg.ladder("m_a", "lower") @ reg.ladder("m_b", "lower"))
+    up = _nilpotent_exp(
+        kappa_up, reg.ladder("m_a", "raise") @ reg.ladder("m_b", "raise"))
+    middle = LadderMap.diagonal(scale * (1.0 + nu) ** reg.occupations())
+    return (up @ middle @ down).dense()
 
 
 def squeeze_normal_form(g: float, truncation: int) -> SqueezeReport:
@@ -361,35 +384,33 @@ def squeeze_normal_form(g: float, truncation: int) -> SqueezeReport:
     """
     if truncation < 10:
         raise TruncationTooSmall("squeezing check needs truncation >= 10")
-    if g < 0:
-        raise ValueError("squeezing parameter must be nonnegative")
+    if not (g >= 0 and math.isfinite(g)):
+        raise ParameterOutOfRange(
+            f"squeezing parameter {g} must be finite and nonnegative")
     reg = _two_mode_registry(truncation)
-    A = reg.lowering("m_a")
-    B = reg.lowering("m_b")
-    generator = g * (A @ B - A.conj().T @ B.conj().T)
-    reference = matexp(MatrixRep(generator, reg))
+    check_dense_dimension(reg.dimension)
+    ab = reg.ladder("m_a", "lower") @ reg.ladder("m_b", "lower")
+    ab_dag = reg.ladder("m_a", "raise") @ reg.ladder("m_b", "raise")
+    reference = matexp(MatrixRep((g * (ab - ab_dag)).dense(), reg))
 
     t_exact = 2.0 * math.tanh(g / 2.0)
     c_exact = 1.0 / math.cosh(g / 2.0) ** 2
     pref, k_dn, k_up, nu = _squeeze_exponent_from_pipeline(g, t_exact)
     pipeline = MatrixRep(
-        _normal_exponential_matrix(reg, truncation, k_dn, k_up, nu,
-                                   c_exact * pref),
+        _normal_exponential_matrix(reg, k_dn, k_up, nu, c_exact * pref),
         reg,
     )
 
     pref_lit, k_dn_l, k_up_l, nu_l = _squeeze_exponent_from_pipeline(g, g)
     literal = MatrixRep(
-        _normal_exponential_matrix(reg, truncation, k_dn_l, k_up_l, nu_l,
-                                   pref_lit),
+        _normal_exponential_matrix(reg, k_dn_l, k_up_l, nu_l, pref_lit),
         reg,
     )
 
     kp = g / (g * g + 1.0)
     printed_scale = math.sqrt(g * g + 1.0) * math.exp(-2.0 * g * kp)
     printed = MatrixRep(
-        _normal_exponential_matrix(reg, truncation, kp, -kp, -2.0 * g * kp,
-                                   printed_scale),
+        _normal_exponential_matrix(reg, kp, -kp, -2.0 * g * kp, printed_scale),
         reg,
     )
 

@@ -307,3 +307,47 @@ def test_malformed_input_is_a_typed_config_error(case, tmp_path):
     status, out = run_command(MALFORMED[case](tmp_path))
     assert status == 1
     assert json.loads(out)["error"]["type"] == "ConfigError"
+
+
+# -- out-of-range numeric requests ------------------------------------------------
+
+# Each request is refused with the typed error before any matrix is built
+# (dimension caps) or before a vacuous result is printed (an empty block, a
+# squeeze at a parameter outside the pipeline's range).
+OUT_OF_RANGE = {
+    "numeric_dimension_over_cap": (
+        ["numeric", "--trunc", "100000", "--block", "3", "a", "a"],
+        "DimensionTooLarge"),
+    "squeeze_dimension_over_cap": (
+        ["squeeze", "--g", "0.3", "--trunc", "3000"], "DimensionTooLarge"),
+    "numeric_negative_block": (
+        ["numeric", "--block", "-1", "a*a†", "a†*a"], "ParameterOutOfRange"),
+    "squeeze_negative_block": (
+        ["squeeze", "--g", "0.3", "--trunc", "12", "--block", "-5"],
+        "ParameterOutOfRange"),
+    "squeeze_negative_g": (
+        ["squeeze", "--g", "-1", "--trunc", "12"], "ParameterOutOfRange"),
+    "squeeze_nan_g": (
+        ["squeeze", "--g", "nan", "--trunc", "12"], "ParameterOutOfRange"),
+    "squeeze_infinite_g": (
+        ["squeeze", "--g", "inf", "--trunc", "12"], "ParameterOutOfRange"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_request_is_a_typed_error(case):
+    argv, error_type = OUT_OF_RANGE[case]
+    status, out = run_command(["-c", BOSON] + argv)
+    assert status == 1
+    assert json.loads(out)["error"]["type"] == error_type
+
+
+def test_squeeze_rejects_negative_block_before_running(monkeypatch):
+    def pipeline(g, truncation):
+        raise AssertionError("the pipeline ran for a refused request")
+
+    monkeypatch.setattr("opwick.gaussian.squeeze_normal_form", pipeline)
+    status, out = run_command(
+        ["-c", BOSON, "squeeze", "--g", "0.3", "--trunc", "30", "--block", "-5"])
+    assert status == 1
+    assert json.loads(out)["error"]["type"] == "ParameterOutOfRange"
