@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MissingEntry, RegistryMismatch
+from .errors import MissingEntry, ParameterOutOfRange, RegistryMismatch
 from .scalars import GaussianRational, ScalarPoly, signed_sum, wrap_text
 
 __all__ = [
@@ -32,6 +32,7 @@ BOSON = "boson"
 FERMION = "fermion"
 
 HALF = GaussianRational(Fraction(1, 2))
+_ONE = ScalarPoly.one()
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,25 @@ class OperatorPoly:
         if value.is_zero:
             return OperatorPoly.zero()
         return OperatorPoly({w: c * value for w, c in self.terms.items()})
+
+    @classmethod
+    def combine(cls, pairs) -> "OperatorPoly":
+        """``sum c * p`` over ``(p, c)`` pairs, added into one term dict; a
+        coefficient equal to one is added without a multiplication."""
+        terms = {}
+        for poly, coeff in pairs:
+            # compare an int or Fraction with 1 first: coercing it costs more
+            unit = coeff == _ONE if isinstance(coeff, ScalarPoly) else coeff == 1
+            if not unit:
+                coeff = ScalarPoly.coerce(coeff)
+                if coeff.is_zero:
+                    continue
+            for word, c in poly.terms.items():
+                if not unit:
+                    c = c * coeff
+                acc = terms.get(word)
+                terms[word] = c if acc is None else acc + c
+        return cls(terms)
 
     # -- multiplication -------------------------------------------------------
     def __mul__(self, other):
@@ -456,6 +476,19 @@ def canonical_reduce(p, table: CommutationTable, ref_order=None, stats=None) -> 
             acc = terms.get(w2)
             terms[w2] = add if acc is None else acc + add
     return OperatorPoly(terms)
+
+
+def check_word_count(letters: int, lengths: range, cap: int, request: str):
+    """Raise ``ParameterOutOfRange`` unless ``request``, words of the given
+    lengths over ``letters`` letters (at least one per length), forms between
+    one and ``cap`` words; counting stops at the cap, so any size is cheap."""
+    if not lengths:
+        raise ParameterOutOfRange(f"{request} forms no word")
+    total = 0
+    for n in lengths:
+        total += max(letters, 1) ** n
+        if total > cap:
+            raise ParameterOutOfRange(f"{request} forms more than {cap} words")
 
 
 def poly_equal(a, b, table: CommutationTable, ref_order=None) -> bool:

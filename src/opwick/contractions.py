@@ -25,7 +25,7 @@ from .algebra import (
     OperatorSymbol,
     canonical_reduce,
 )
-from .orderings import BasisChange, Ordering, order_word, order_word_foreign
+from .orderings import BasisChange, Ordering, order_poly, order_word, order_word_foreign
 from .scalars import ScalarPoly
 
 __all__ = [
@@ -301,12 +301,14 @@ def scalar_contraction_implicit(lambdas, lambdas_tilde, o: Ordering,
         (s.name if isinstance(s, OperatorSymbol) else s): ScalarPoly.coerce(v)
         for s, v in dict(lambdas_tilde).items()
     }
-    x_phi = OperatorPoly.zero()
-    for name, weight in lam.items():
-        x_phi = x_phi + OperatorPoly.from_symbol(phi_basis.source[name]).scale(weight)
-    x_vphi = OperatorPoly.zero()
-    for name, weight in lam_t.items():
-        x_vphi = x_vphi + OperatorPoly.from_symbol(vphi_basis.source[name]).scale(weight)
+    x_phi = OperatorPoly.combine(
+        (OperatorPoly.from_symbol(phi_basis.source[name]), weight)
+        for name, weight in lam.items()
+    )
+    x_vphi = OperatorPoly.combine(
+        (OperatorPoly.from_symbol(vphi_basis.source[name]), weight)
+        for name, weight in lam_t.items()
+    )
 
     lhs_embed = phi_basis.expand_poly(x_phi)
     rhs_embed = vphi_basis.expand_poly(x_vphi)
@@ -314,8 +316,6 @@ def scalar_contraction_implicit(lambdas, lambdas_tilde, o: Ordering,
         raise RelationViolated(
             "weighted source and target sums are not the same operator"
         )
-
-    from .orderings import order_poly
 
     lhs = phi_basis.expand_poly(order_poly(o, x_phi * x_phi))
     rhs = vphi_basis.expand_poly(order_poly(oprime, x_vphi * x_vphi))

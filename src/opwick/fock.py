@@ -133,7 +133,7 @@ class LadderMap:
             count = dim - abs(shift)
             start = (first + shift) * dim + first
             flat[start:start + count * (dim + 1):dim + 1] += (
-                coeff * weights[first:first + count]
+                weights[first:first + count] * coeff
             )
         return out
 
@@ -227,9 +227,12 @@ class ModeRegistry:
         return out
 
     def lowering(self, mode_name: str) -> np.ndarray:
-        """Dense annihilation matrix of the mode, with fermionic parity string."""
+        """Dense annihilation matrix of the mode, with fermionic parity string;
+        cached, and read-only so that no caller can edit what others get."""
         if mode_name not in self._lowering:
-            self._lowering[mode_name] = self.ladder(mode_name, "lower").dense()
+            dense = self.ladder(mode_name, "lower").dense()
+            dense.setflags(write=False)
+            self._lowering[mode_name] = dense
         return self._lowering[mode_name]
 
     # -- symbol mapping ----------------------------------------------------------
@@ -310,6 +313,20 @@ class MatrixRep:
         ]
 
 
+def _word_maps(p, identity: LadderMap, symbol_ladder):
+    """``(coefficient, ladder map)`` of each word of ``p``, multiplied out from
+    ``identity``; ``symbol_ladder(name)`` is called once per symbol."""
+    symbols = {}
+    for word, coeff in p.terms.items():
+        factor = identity
+        for sym in word:
+            ladder = symbols.get(sym.name)
+            if ladder is None:
+                ladder = symbols[sym.name] = symbol_ladder(sym.name)
+            factor = factor @ ladder
+        yield coeff, factor
+
+
 def represent(p, registry: ModeRegistry, ctx=None) -> MatrixRep:
     """Matrix of an operator polynomial: linear, word-multiplicative.
 
@@ -325,15 +342,9 @@ def represent(p, registry: ModeRegistry, ctx=None) -> MatrixRep:
     dim = check_dense_dimension(registry.dimension)
     total = np.zeros((dim, dim), dtype=complex)
     identity = LadderMap.diagonal(np.ones(dim))
-    symbols = {}
-    for word, coeff in p.terms.items():
-        factor = identity
-        for sym in word:
-            ladder = symbols.get(sym.name)
-            if ladder is None:
-                ladder = registry.symbol_ladder(sym.name, assignments)
-                symbols[sym.name] = ladder
-            factor = factor @ ladder
+    for coeff, factor in _word_maps(
+        p, identity, lambda name: registry.symbol_ladder(name, assignments)
+    ):
         factor.add_to(total, coeff.evaluate(assignments))
     return MatrixRep(total, registry)
 
@@ -349,10 +360,9 @@ def represent_exact(p, registry: ModeRegistry) -> list:
         raise UnmappedSymbol("exact representation requires a fermion-only registry")
     p = OperatorPoly.coerce(p)
     dim = check_dense_dimension(registry.dimension)
-    zero = GaussianRational(0)
 
-    def exact_symbol(name):
-        out = [[zero] * dim for _ in range(dim)]
+    def exact_ladder(name):
+        total = LadderMap(dim, {})
         for coeff, mode_name, kind in registry.recipe(name):
             if isinstance(coeff, ScalarPoly):
                 c = coeff.constant_value()
@@ -360,43 +370,18 @@ def represent_exact(p, registry: ModeRegistry) -> list:
                 c = coeff
             else:
                 c = GaussianRational(Fraction(coeff))
-            ladder = registry.ladder(mode_name, kind)
-            for shift, weights in ladder.diagonals.items():
-                for j in np.flatnonzero(weights):
-                    out[j + shift][j] = out[j + shift][j] + c * int(weights[j])
-        return out
+            diagonals = registry.ladder(mode_name, kind).diagonals
+            total = total + LadderMap(dim, {
+                shift: np.array([c * int(w) for w in weights], dtype=object)
+                for shift, weights in diagonals.items()
+            })
+        return total
 
-    def mat_mul(x, y):
-        out = [[zero] * dim for _ in range(dim)]
-        for i in range(dim):
-            for k in range(dim):
-                if x[i][k].is_zero:
-                    continue
-                xv = x[i][k]
-                for j in range(dim):
-                    if y[k][j].is_zero:
-                        continue
-                    out[i][j] = out[i][j] + xv * y[k][j]
-        return out
-
-    total = [[zero] * dim for _ in range(dim)]
-    identity = [
-        [GaussianRational(1) if i == j else zero for j in range(dim)]
-        for i in range(dim)
-    ]
-    cache = {}
-    for word, coeff in p.terms.items():
-        factor = identity
-        for sym in word:
-            if sym.name not in cache:
-                cache[sym.name] = exact_symbol(sym.name)
-            factor = mat_mul(factor, cache[sym.name])
-        c = coeff.constant_value()
-        for i in range(dim):
-            for j in range(dim):
-                if not factor[i][j].is_zero:
-                    total[i][j] = total[i][j] + c * factor[i][j]
-    return total
+    total = np.full((dim, dim), GaussianRational(0), dtype=object)
+    identity = LadderMap.diagonal(np.full(dim, GaussianRational(1), dtype=object))
+    for coeff, factor in _word_maps(p, identity, exact_ladder):
+        factor.add_to(total, coeff.constant_value())
+    return total.tolist()
 
 
 def matexp(m: MatrixRep) -> MatrixRep:

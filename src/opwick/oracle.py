@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import IncomparableKeys, SymmetricOnFermions
-from .algebra import CommutationTable, OperatorPoly, canonical_reduce
+from .algebra import CommutationTable, OperatorPoly, canonical_reduce, check_word_count
 from .contractions import ContractionMatrix, contraction_def
 from .orderings import BasisChange, Ordering
 from .reorder import reorder_exponential, reorder_substitution
@@ -30,6 +30,9 @@ __all__ = [
     "VerificationReport",
     "SweepReport",
 ]
+
+# Words one sweep may verify: a four-symbol pool to length 5 is 1365 words.
+MAX_SWEEP_WORDS = 5000
 
 
 def definitional_order(o: Ordering, word) -> OperatorPoly:
@@ -192,12 +195,15 @@ def sweep(o: Ordering, oprime: Ordering, basis: BasisChange,
     Enumeration is deterministic (pool order, then lexicographic by factor
     choice).  ``sink`` receives each instance report when provided; a
     JSON-lines stream is one :meth:`VerificationReport.to_json` line per
-    report passed to ``sink``, as ``opwick verify --jsonl`` writes it.
+    report passed to ``sink``, as ``opwick verify --jsonl`` writes it.  A
+    sweep of no word or of more than ``MAX_SWEEP_WORDS`` is refused first.
     """
     pool = list(pool)
+    lengths = range(0 if include_empty else 1, max_len + 1)
+    check_word_count(len(pool), lengths, MAX_SWEEP_WORDS,
+                     f"a sweep to length {max_len} over {len(pool)} symbols")
     contraction = contraction_def(o, oprime, basis, table, ref_order)
     report = SweepReport(seed=seed)
-    lengths = range(0 if include_empty else 1, max_len + 1)
     for n in lengths:
         for combo in itertools.product(pool, repeat=n):
             instance = verify_instance(

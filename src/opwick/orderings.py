@@ -180,10 +180,9 @@ def order_word(o: Ordering, word) -> OperatorPoly:
 def order_poly(o: Ordering, p) -> OperatorPoly:
     """Linear extension of :func:`order_word`."""
     p = OperatorPoly.coerce(p)
-    out = OperatorPoly.zero()
-    for word, coeff in p.terms.items():
-        out = out + order_word(o, word).scale(coeff)
-    return out
+    return OperatorPoly.combine(
+        (order_word(o, word), coeff) for word, coeff in p.terms.items()
+    )
 
 
 class BasisChange:
@@ -265,10 +264,9 @@ class BasisChange:
             self.source.get(sym.name) == sym for word in p.terms for sym in word
         ):
             return p
-        out = OperatorPoly.zero()
-        for word, coeff in p.terms.items():
-            out = out + self.expand_word(word).scale(coeff)
-        return out
+        return OperatorPoly.combine(
+            (self.expand_word(word), coeff) for word, coeff in p.terms.items()
+        )
 
     def induced_bracket(self, alpha, beta, target_table: CommutationTable) -> ScalarPoly:
         """Bracket of two source symbols implied by the target table."""

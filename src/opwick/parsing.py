@@ -24,7 +24,7 @@ from .errors import (
     StatisticsMismatch,
     UnknownSymbol,
 )
-from .algebra import FERMION, OperatorPoly, OperatorSymbol
+from .algebra import FERMION, OperatorPoly, OperatorSymbol, check_word_count
 from .orderings import order_poly
 from .scalars import GaussianRational, ScalarPoly
 
@@ -369,6 +369,11 @@ def _scalar_text(value: GaussianRational) -> str:
 
 # -- evaluation --------------------------------------------------------------------
 
+# Words an exp(body; N) series may form, sum_{k <= N} t**k for t body terms.
+# exp(a + a†; 8) forms 511 and reorders from Weyl order in 0.7 s on 2 cores;
+# each further degree doubles the words and about triples the time.
+MAX_SERIES_WORDS = 1000
+
 
 def expression_to_poly(node, config) -> OperatorPoly:
     """Evaluate an AST into an operator polynomial against a configuration.
@@ -389,11 +394,9 @@ def expression_to_poly(node, config) -> OperatorPoly:
             out = out * expression_to_poly(f, config)
         return out
     if isinstance(node, Sum):
-        out = OperatorPoly.zero()
-        for sign, term in node.terms:
-            value = expression_to_poly(term, config)
-            out = out + (value if sign == 1 else -value)
-        return out
+        return OperatorPoly.combine(
+            (expression_to_poly(term, config), sign) for sign, term in node.terms
+        )
     if isinstance(node, Bracket):
         lhs = expression_to_poly(node.lhs, config)
         rhs = expression_to_poly(node.rhs, config)
@@ -405,13 +408,10 @@ def expression_to_poly(node, config) -> OperatorPoly:
         return order_poly(config.ordering(node.ordering), body)
     if isinstance(node, Exp):
         body = expression_to_poly(node.body, config)
-        out = OperatorPoly.zero()
-        power = OperatorPoly.one()
-        for k in range(node.order + 1):
-            if k > 0:
-                power = power * body
-            out = out + power.map_coeffs(
-                lambda c, k=k: c * Fraction(1, math.factorial(k))
-            )
-        return out
+        check_word_count(len(body.terms), range(node.order + 1),
+                         MAX_SERIES_WORDS, f"exp(...; {node.order})")
+        powers = [(OperatorPoly.one(), 1)]
+        for k in range(1, node.order + 1):
+            powers.append((powers[-1][0] * body, Fraction(1, math.factorial(k))))
+        return OperatorPoly.combine(powers)
     raise TypeError(f"not an AST node: {node!r}")

@@ -10,6 +10,11 @@ in the same step: expand through the basis change, then apply the target
 ordering (``order_poly(oprime, basis.expand_poly(p))``).  Both agree with
 direct reordering on every input, which the oracle module checks instance
 by instance.
+
+:func:`exp_laplacian` is the one smoothing path: the scalar-contraction
+transforms smooth words over formal shared operators through it.  Every
+linear combination of operator polynomials is one
+:meth:`OperatorPoly.combine` call, which adds all terms into one dict.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .errors import (
     NotUnivariate,
 )
 from .algebra import (
+    HALF,
     CommutationTable,
     OperatorPoly,
     OperatorSymbol,
@@ -85,38 +91,30 @@ class ContractionLaplacian:
                 raise FlavorMismatch(
                     f"contraction couples {a} and {b} across statistics sectors"
                 )
-            self._pairs.append((sa, sb, value))
+            self._pairs.append((sa, sb, value * HALF))
 
     def apply(self, p) -> OperatorPoly:
         """One application; degree drops by exactly two."""
         p = OperatorPoly.coerce(p)
-        out = OperatorPoly.zero()
-        half = ScalarPoly.const(Fraction(1, 2))
-        for sa, sb, value in self._pairs:
-            out = out + derive(derive(p, sa), sb).scale(value * half)
-        return out
+        return OperatorPoly.combine(
+            (derive(derive(p, sa), sb), weight) for sa, sb, weight in self._pairs
+        )
 
-    def apply_exp(self, p, negate=False) -> OperatorPoly:
-        """``sum_m L**m p / m!``; terminates because each step drops degree 2."""
-        p = OperatorPoly.coerce(p)
-        total = p
-        term = p
-        m = 0
+    def apply_exp(self, p) -> OperatorPoly:
+        """``sum_m L**m p / m!``, one :meth:`OperatorPoly.combine` of the
+        levels; the one smoothing path, finite since each level drops the
+        degree by two."""
+        levels = []
+        term = OperatorPoly.coerce(p)
         while not term.is_zero:
-            m += 1
+            levels.append((term, Fraction(1, math.factorial(len(levels)))))
             term = self.apply(term)
-            if term.is_zero:
-                break
-            weighted = term.map_coeffs(lambda c: c * Fraction(1, math.factorial(m)))
-            if negate and m % 2 == 1:
-                weighted = -weighted
-            total = total + weighted
-        return total
+        return OperatorPoly.combine(levels)
 
 
-def exp_laplacian(contraction: ContractionMatrix, p, negate=False) -> OperatorPoly:
+def exp_laplacian(contraction: ContractionMatrix, p) -> OperatorPoly:
     """Apply the exponential of the contraction Laplacian to ``p``."""
-    return ContractionLaplacian(contraction).apply_exp(p, negate=negate)
+    return ContractionLaplacian(contraction).apply_exp(p)
 
 
 def reorder_exponential(o: Ordering, oprime: Ordering, basis: BasisChange,
@@ -158,59 +156,31 @@ def reorder_substitution(o: Ordering, oprime: Ordering, basis: BasisChange,
     """
     _check_pair(contraction, o, oprime)
     p = OperatorPoly.coerce(p)
-    by_name = {s.name: s for s in contraction.symbols}
-    cache = {}
-
-    def shift_rows(sym):
-        rows = []
-        for b in contraction.symbols:
-            value = contraction.get(sym, b)
-            if not value.is_zero:
-                rows.append((b, value))
-        return rows
+    shifts = {
+        a.name: [(b, v) for b in contraction.symbols if (v := contraction.get(a, b))]
+        for a in contraction.symbols
+    }
+    cache = {(): OperatorPoly.one()}
 
     def expand(word):
-        if word in cache:
-            return cache[word]
-        if not word:
-            result = OperatorPoly.one()
-        else:
-            head, rest = word[0], word[1:]
-            tail = expand(rest)
-            result = OperatorPoly.from_symbol(head) * tail
-            for b, value in shift_rows(head):
-                result = result + derive(tail, b).scale(value)
-        cache[word] = result
-        return result
+        if word not in cache:
+            head, tail = word[0], expand(word[1:])
+            cache[word] = OperatorPoly.combine(
+                [(OperatorPoly.from_symbol(head) * tail, 1)]
+                + [(derive(tail, b), value) for b, value in shifts[head.name]]
+            )
+        return cache[word]
 
-    out = OperatorPoly.zero()
-    for word, coeff in p.terms.items():
+    for word in p.terms:
         for sym in word:
-            if sym.name not in by_name:
+            if sym.name not in shifts:
                 raise ContractionMismatch(
                     f"symbol {sym.name!r} is outside the contraction index set"
                 )
-        out = out + expand(word).scale(coeff)
+    out = OperatorPoly.combine(
+        (expand(word), coeff) for word, coeff in p.terms.items()
+    )
     return order_poly(oprime, basis.expand_poly(out))
-
-
-def smooth_univariate(coeffs, c_value) -> list:
-    """Gaussian smoothing ``exp((C/2) d2/dX2)`` of a coefficient list."""
-    c_value = ScalarPoly.coerce(c_value)
-    degree = len(coeffs) - 1
-    out = [ScalarPoly.zero() for _ in range(len(coeffs))]
-    half_c = c_value * ScalarPoly.const(Fraction(1, 2))
-    for m, coeff in enumerate(coeffs):
-        coeff = ScalarPoly.coerce(coeff)
-        if coeff.is_zero:
-            continue
-        for j in range(m // 2 + 1):
-            weight = Fraction(
-                math.factorial(m),
-                math.factorial(j) * math.factorial(m - 2 * j),
-            )
-            out[m - 2 * j] = out[m - 2 * j] + coeff * (half_c**j) * ScalarPoly.const(weight)
-    return out
 
 
 def reorder_univariate(coeffs, c_value, oprime: Ordering,
@@ -218,91 +188,53 @@ def reorder_univariate(coeffs, c_value, oprime: Ordering,
     """Reorder a polynomial in a single shared operator X.
 
     ``coeffs[m]`` weights ``X**m``; ``c_value`` is the scalar contraction of
-    the ordering pair; ``x_target`` expresses X over the target symbols.  The
-    smoothing operator is applied term-by-term and the result ordered by the
-    target ordering.
+    the ordering pair; ``x_target`` expresses X over the target symbols.
+    This is the one-operator case of :func:`reorder_multivariate`.
     """
-    smoothed = smooth_univariate(list(coeffs), c_value)
-    x_target = OperatorPoly.coerce(x_target)
-    out = OperatorPoly.zero()
-    power = OperatorPoly.one()
-    for m, coeff in enumerate(smoothed):
-        if m > 0:
-            power = power * x_target
-        if coeff.is_zero:
-            continue
-        out = out + order_poly(oprime, power).scale(coeff)
-    return out
+    return reorder_multivariate(
+        {(m,): coeff for m, coeff in enumerate(coeffs)}, [[c_value]], oprime,
+        [x_target],
+    )
 
 
 def reorder_multivariate(poly_in_x, c_matrix, oprime: Ordering,
                          xs_target) -> OperatorPoly:
     """Several shared operators X^i with scalar contractions ``c_matrix[i][j]``.
 
-    ``poly_in_x`` maps exponent tuples to scalar coefficients; the smoothing
-    operator iterates over ordered pairs ``(i, j)``.
+    ``poly_in_x`` maps exponent tuples to scalar coefficients.  Each tuple
+    is a word over formal bosonic symbols X0, X1, ..., smoothed by
+    :func:`exp_laplacian` with ``c_matrix`` as the contraction.  Each word
+    of the result becomes the ``oprime``-ordered product of the
+    ``xs_target`` it names, and these are summed by one
+    :meth:`OperatorPoly.combine`.
     """
     xs_target = [OperatorPoly.coerce(x) for x in xs_target]
-    r = len(xs_target)
-    work = {
-        tuple(exps): ScalarPoly.coerce(coeff)
-        for exps, coeff in dict(poly_in_x).items()
-        if not ScalarPoly.coerce(coeff).is_zero
-    }
-    for exps in work:
-        if len(exps) != r:
+    formal = [OperatorSymbol(f"X{i}") for i in range(len(xs_target))]
+    terms = {}
+    for exps, coeff in dict(poly_in_x).items():
+        if len(exps) != len(formal) or min(exps, default=0) < 0:
             raise NotUnivariate(
-                f"exponent tuple {exps} does not match {r} shared operators"
+                f"exponent tuple {exps} needs one nonnegative exponent per operator"
             )
+        terms[sum(((x,) * e for x, e in zip(formal, exps)), ())] = coeff
+    entries = {
+        (a.name, b.name): ScalarPoly.coerce(c_matrix[i][j])
+        for i, a in enumerate(formal) for j, b in enumerate(formal)
+    }
+    smoothed = exp_laplacian(
+        ContractionMatrix(formal, entries, "symmetric"), OperatorPoly(terms)
+    )
 
-    def pair_derivative(terms, i, j):
-        out = {}
-        for exps, coeff in terms.items():
-            if exps[i] == 0:
-                continue
-            once = list(exps)
-            factor = once[i]
-            once[i] -= 1
-            if once[j] == 0:
-                continue
-            factor *= once[j]
-            once[j] -= 1
-            key = tuple(once)
-            add = coeff * ScalarPoly.const(factor)
-            acc = out.get(key)
-            out[key] = add if acc is None else acc + add
+    def target_product(word):
+        out = OperatorPoly.one()
+        for x in word:
+            out = out * xs_target[formal.index(x)]
         return out
 
-    half = ScalarPoly.const(Fraction(1, 2))
-    total = dict(work)
-    level = dict(work)
-    m = 0
-    while level:
-        m += 1
-        step = {}
-        for i in range(r):
-            for j in range(r):
-                c = ScalarPoly.coerce(c_matrix[i][j])
-                if c.is_zero:
-                    continue
-                for key, value in pair_derivative(level, i, j).items():
-                    add = value * c * half
-                    acc = step.get(key)
-                    step[key] = add if acc is None else acc + add
-        inv_m = ScalarPoly.const(Fraction(1, m))
-        level = {k: v * inv_m for k, v in step.items() if not v.is_zero}
-        for key, value in level.items():
-            acc = total.get(key)
-            total[key] = value if acc is None else acc + value
-    out = OperatorPoly.zero()
-    for exps, coeff in total.items():
-        if coeff.is_zero:
-            continue
-        word_poly = OperatorPoly.one()
-        for i, e in enumerate(exps):
-            word_poly = word_poly * xs_target[i] ** e
-        out = out + order_poly(oprime, word_poly).scale(coeff)
-    return out
+    return OperatorPoly.combine(
+        (order_poly(oprime, target_product(word)), coeff)
+        for word, coeff in smoothed.terms.items()
+    )
 
 
 def express_univariate(p, x, table: CommutationTable, max_degree=None,
@@ -363,16 +295,14 @@ def exponential_series(o: Ordering, basis: BasisChange, lambdas,
     symbols); the expansion keeps words up to length ``max_order``.
     """
     terms = _linear_form(lambdas)
-    out = OperatorPoly.zero()
+    parts = []
     power = OperatorPoly.one()
     for n in range(max_order + 1):
         if n > 0:
             power = power * terms
-        contrib = order_poly(o, basis.expand_poly(power))
-        out = out + contrib.map_coeffs(
-            lambda c, n=n: c * Fraction(1, math.factorial(n))
-        )
-    return out
+        parts.append((order_poly(o, basis.expand_poly(power)),
+                      Fraction(1, math.factorial(n))))
+    return OperatorPoly.combine(parts)
 
 
 def exponential_series_rhs(oprime: Ordering, basis: BasisChange,
@@ -401,15 +331,10 @@ def exponential_series_rhs(oprime: Ordering, basis: BasisChange,
         power = power * quad
         prefactor = prefactor + power * ScalarPoly.const(Fraction(1, math.factorial(m)))
     series = exponential_series(oprime, basis, lambdas, max_order)
-    combined = OperatorPoly.zero()
-    for word, coeff in series.terms.items():
-        combined = combined + OperatorPoly.from_word(word, coeff * prefactor)
+    combined = OperatorPoly.combine([(series, prefactor)])
     if lam_symbols:
-        combined = OperatorPoly(
-            {
-                w: c.truncate_degree(lam_symbols, max_order)
-                for w, c in combined.terms.items()
-            }
+        combined = combined.map_coeffs(
+            lambda c: c.truncate_degree(lam_symbols, max_order)
         )
     return combined
 
@@ -434,7 +359,7 @@ def _normalize_lambdas(lambdas) -> dict:
 
 
 def _linear_form(lambdas) -> OperatorPoly:
-    out = OperatorPoly.zero()
+    pairs = []
     for sym, weight in dict(lambdas).items():
         if not isinstance(sym, OperatorSymbol):
             raise TypeError("lambdas must be keyed by OperatorSymbol")
@@ -444,5 +369,5 @@ def _linear_form(lambdas) -> OperatorPoly:
             raise FlavorMismatch(
                 "exponential series supports bosonic symbols only"
             )
-        out = out + OperatorPoly.from_symbol(sym).scale(ScalarPoly.coerce(weight))
-    return out
+        pairs.append((OperatorPoly.from_symbol(sym), weight))
+    return OperatorPoly.combine(pairs)

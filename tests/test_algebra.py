@@ -241,3 +241,54 @@ def test_reduce_cache_keeps_callable_orders_apart(boson_mode):
         assert canonical_reduce(word, table, daggers_right) == canonical_reduce(
             word, fresh, daggers_right
         )
+
+
+def _fold_combine(pairs):
+    """Reference linear combination: one ``+`` and ``scale`` per pair."""
+    out = OperatorPoly.zero()
+    for poly, coeff in pairs:
+        out = out + poly.scale(coeff)
+    return out
+
+
+def _random_poly(rng, syms):
+    s = ScalarPoly.symbol("s")
+    coeffs = [ScalarPoly.const(Fraction(rng.randint(-3, 3), rng.randint(1, 4))),
+              ScalarPoly.i() * rng.randint(1, 2), s + rng.randint(-1, 1)]
+    out = OperatorPoly.zero()
+    for _ in range(rng.randint(1, 5)):
+        word = tuple(rng.choice(syms) for _ in range(rng.randint(0, 3)))
+        out = out + OperatorPoly.from_word(word, rng.choice(coeffs))
+    return out
+
+
+def test_combine_equals_fold_of_add_and_scale(boson_mode):
+    a, ad, _ = boson_mode
+    rng = random.Random(17)
+    s, t = ScalarPoly.symbol("s"), ScalarPoly.symbol("t")
+    choices = [0, 1, -1, Fraction(2, 3), ScalarPoly.one(), ScalarPoly.i(),
+               s, s * t - 2]
+    assert OperatorPoly.combine([]) == OperatorPoly.zero()
+    for _ in range(40):
+        pairs = [(_random_poly(rng, [a, ad]), rng.choice(choices))
+                 for _ in range(rng.randint(1, 4))]
+        assert OperatorPoly.combine(pairs) == _fold_combine(pairs)
+        # a pair and its negation cancel to zero
+        p, c = pairs[0]
+        cancel = pairs + [(p, -ScalarPoly.coerce(c))]
+        assert OperatorPoly.combine(cancel) == _fold_combine(cancel)
+        assert OperatorPoly.combine([(p, c), (p, -ScalarPoly.coerce(c))]).is_zero
+
+
+def test_combine_adds_unit_coefficients_without_multiplying(boson_mode, monkeypatch):
+    a, ad, _ = boson_mode
+    p = _random_poly(random.Random(5), [a, ad]) + word_poly(a, ad)
+    q = word_poly(ad, a).scale(ScalarPoly.symbol("s"))
+    want = p + q
+
+    def refuse(self, other):
+        raise AssertionError("a unit coefficient was multiplied")
+
+    monkeypatch.setattr(ScalarPoly, "__mul__", refuse)
+    monkeypatch.setattr(ScalarPoly, "__rmul__", refuse)
+    assert OperatorPoly.combine([(p, 1), (q, ScalarPoly.one())]) == want

@@ -351,3 +351,31 @@ def test_squeeze_rejects_negative_block_before_running(monkeypatch):
         ["-c", BOSON, "squeeze", "--g", "0.3", "--trunc", "30", "--block", "-5"])
     assert status == 1
     assert json.loads(out)["error"]["type"] == "ParameterOutOfRange"
+
+
+# -- work caps ------------------------------------------------------------------
+
+# Each request is refused from its size alone: the guards below fail the test
+# if the sweep's contraction or the series' first power is ever formed.
+REFUSED_WORK = {
+    "verify_negative_max_len": ["verify", "--from", "weyl", "--to", "normal",
+                                "--max-len", "-1"],
+    "verify_too_many_words": ["verify", "--from", "weyl", "--to", "normal",
+                              "--max-len", "20"],
+    "exp_degree_too_high": ["reorder", "--from", "weyl", "--to", "normal",
+                            "exp(a + a†; 12)"],
+    "exp_degree_of_one_term_too_high": ["reorder", "--from", "weyl", "--to",
+                                        "normal", "exp(a; 5000)"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_WORK))
+def test_oversized_request_is_refused_before_any_work(case, monkeypatch):
+    def guard(*args, **kwargs):
+        raise AssertionError("work started for a refused request")
+
+    monkeypatch.setattr("opwick.oracle.contraction_def", guard)
+    monkeypatch.setattr("opwick.algebra.OperatorPoly.__mul__", guard)
+    status, out = run_command(["-c", BOSON] + REFUSED_WORK[case])
+    assert status == 1
+    assert json.loads(out)["error"]["type"] == "ParameterOutOfRange"

@@ -103,6 +103,14 @@ def test_represent_linear_combination_with_context():
     assert np.allclose(mat, 2**-0.5 * (A + A.conj().T))
 
 
+def test_lowering_cache_cannot_be_edited_by_a_caller():
+    reg, a, ad = one_mode_registry(4)
+    A = reg.lowering("m")
+    with pytest.raises(ValueError):
+        A *= 2
+    assert reg.lowering("m")[0, 1] == 1
+
+
 def test_represent_unmapped_symbol():
     reg, a, ad = one_mode_registry(4)
     stray = OperatorSymbol("x")

@@ -30,7 +30,7 @@ from opwick import (
     reorder_multivariate,
 )
 from opwick.errors import ContractionMismatch, NotUnivariate
-from opwick.reorder import reorder_exponential, smooth_univariate
+from opwick.reorder import reorder_exponential
 
 HALF = ScalarPoly.const(Fraction(1, 2))
 
@@ -289,12 +289,14 @@ def test_transforms_match_ordering_on_random_words(two_boson_modes):
 # -- univariate and multivariate scalar-contraction transforms -------------------
 
 
-def test_smooth_univariate_quadratic():
+def test_smooth_univariate_quadratic(boson_mode):
+    a, ad, table = boson_mode
+    N = Ordering.normal()
+    x = OperatorPoly.from_symbol(a) + OperatorPoly.from_symbol(ad)
     c = ScalarPoly.symbol("C")
-    coeffs = [ScalarPoly.zero(), ScalarPoly.zero(), ScalarPoly.one()]
-    out = smooth_univariate(coeffs, c)
-    assert out[0] == c * HALF * 2  # (1/2)C * 2!/0! -> C
-    assert out[2] == ScalarPoly.one()
+    got = reorder_univariate([0, 0, 1], c, N, x)
+    # (1/2)C * 2!/0! -> C: X^2 smooths to O'[X^2] + C
+    assert got == order_poly(N, x * x) + OperatorPoly.scalar(c * HALF * 2)
 
 
 def test_reorder_univariate_square(boson_mode):
@@ -367,6 +369,84 @@ def test_reorder_multivariate_two_operators(boson_mode):
     got = reorder_multivariate({(1, 1): 1}, c, N, xs)
     direct = order_poly(A, xs[0] * xs[1])
     assert poly_equal(got, direct, table)
+
+
+def _reference_multivariate(poly_in_x, c_matrix, oprime, xs_target):
+    """Exponent-tuple smoothing: pair derivatives summed level by level."""
+    r = len(xs_target)
+    work = {
+        tuple(exps): ScalarPoly.coerce(coeff)
+        for exps, coeff in poly_in_x.items()
+        if not ScalarPoly.coerce(coeff).is_zero
+    }
+
+    def pair_derivative(terms, i, j):
+        out = {}
+        for exps, coeff in terms.items():
+            if exps[i] == 0:
+                continue
+            once = list(exps)
+            factor = once[i]
+            once[i] -= 1
+            if once[j] == 0:
+                continue
+            factor *= once[j]
+            once[j] -= 1
+            key = tuple(once)
+            add = coeff * ScalarPoly.const(factor)
+            out[key] = out[key] + add if key in out else add
+        return out
+
+    total = dict(work)
+    level = dict(work)
+    m = 0
+    while level:
+        m += 1
+        step = {}
+        for i in range(r):
+            for j in range(r):
+                c = ScalarPoly.coerce(c_matrix[i][j])
+                if c.is_zero:
+                    continue
+                for key, value in pair_derivative(level, i, j).items():
+                    add = value * c * HALF
+                    step[key] = step[key] + add if key in step else add
+        inv_m = ScalarPoly.const(Fraction(1, m))
+        level = {k: v * inv_m for k, v in step.items() if not v.is_zero}
+        for key, value in level.items():
+            total[key] = total[key] + value if key in total else value
+    out = OperatorPoly.zero()
+    for exps, coeff in total.items():
+        if coeff.is_zero:
+            continue
+        word_poly = OperatorPoly.one()
+        for i, e in enumerate(exps):
+            word_poly = word_poly * xs_target[i] ** e
+        out = out + order_poly(oprime, word_poly).scale(coeff)
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_reorder_multivariate_equals_exponent_tuple_smoothing(boson_mode, r):
+    a, ad, table = boson_mode
+    A = OperatorPoly.from_symbol(a)
+    Ad = OperatorPoly.from_symbol(ad)
+    s = ScalarPoly.symbol("s")
+    xs = [A + Ad, A - Ad, A.scale(2) + Ad.scale(s)][:r]
+    # symbolic and not symmetric, with one zero entry
+    c_matrix = [
+        [ScalarPoly.symbol(f"c{i}{j}") + j for j in range(r)] for i in range(r)
+    ]
+    c_matrix[r - 1][0] = ScalarPoly.zero()
+    rng = random.Random(40 + r)
+    for _ in range(6):
+        poly = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = tuple(rng.randint(0, 4 // r + 1) for _ in range(r))
+            poly[exps] = ScalarPoly.const(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for oprime in (Ordering.normal(), Ordering.weyl()):
+            want = _reference_multivariate(poly, c_matrix, oprime, xs)
+            assert reorder_multivariate(poly, c_matrix, oprime, xs) == want
 
 
 def test_express_univariate(boson_mode):
