@@ -383,34 +383,9 @@ def default_ref_rank(sym: OperatorSymbol):
     return (0 if sym.dagger else 1, sym.key, sym.name)
 
 
-def _make_rank(ref_order):
-    if ref_order is None:
-        return default_ref_rank
-    if callable(ref_order):
-        return ref_order
-    position = {name: i for i, name in enumerate(ref_order)}
-
-    def rank(sym):
-        try:
-            return position[sym.name]
-        except KeyError:
-            raise MissingEntry(sym.name, sym.name, "symbol missing from ref order")
-
-    return rank
-
-
-def _ref_cache_key(ref_order):
-    if ref_order is None:
-        return "default"
-    if callable(ref_order):
-        # The callable itself, not its id(): the cache entry keeps it alive,
-        # so a new callable can never take over its address and its entries.
-        return ref_order
-    return tuple(ref_order)
-
-
-def _reduce_word(word, table, rank, stats=None):
+def _reduce_word(word, table):
     """Reduce a single word to canonical form; returns dict word -> ScalarPoly."""
+    rank = default_ref_rank
     out = {}
     stack = [(tuple(word), ScalarPoly.one())]
     while stack:
@@ -436,15 +411,11 @@ def _reduce_word(word, table, rank, stats=None):
         if same_pair:
             # x*x = (1/2){x, x} for a fermionic generator.
             br = table.bracket(x, x)
-            if stats is not None:
-                stats["contractions"] = stats.get("contractions", 0) + 1
             if not br.is_zero:
                 stack.append((shorter, coeff * br * HALF))
             continue
         sign = table.swap_sign(x, y)
         br = table.bracket(x, y)
-        if stats is not None:
-            stats["transpositions"] = stats.get("transpositions", 0) + 1
         swapped = w[:idx] + (y, x) + w[idx + 2:]
         stack.append((swapped, coeff if sign == 1 else -coeff))
         if not br.is_zero:
@@ -452,25 +423,20 @@ def _reduce_word(word, table, rank, stats=None):
     return out
 
 
-def canonical_reduce(p, table: CommutationTable, ref_order=None, stats=None) -> OperatorPoly:
+def canonical_reduce(p, table: CommutationTable) -> OperatorPoly:
     """Unique canonical form of ``p`` modulo the commutation relations.
 
-    Every word is sorted into the reference order by adjacent transpositions;
-    each transposition emits the bracket term (``xy -> yx + [x,y]`` for
-    bosons, ``xy -> -yx + {x,y}`` for fermions).
+    Every word is sorted into the reference order (:func:`default_ref_rank`)
+    by adjacent transpositions; each transposition emits the bracket term
+    (``xy -> yx + [x,y]`` for bosons, ``xy -> -yx + {x,y}`` for fermions).
     """
     p = OperatorPoly.coerce(p)
-    rank = _make_rank(ref_order)
-    refkey = _ref_cache_key(ref_order)
     cache = table._reduce_cache
     terms = {}
     for word, coeff in p.terms.items():
-        key = (refkey, word)
-        reduced = cache.get(key)
-        if reduced is None or stats is not None:
-            reduced = _reduce_word(word, table, rank, stats)
-            if stats is None:
-                cache[key] = reduced
+        reduced = cache.get(word)
+        if reduced is None:
+            reduced = cache[word] = _reduce_word(word, table)
         for w2, c2 in reduced.items():
             add = coeff * c2
             acc = terms.get(w2)
@@ -491,7 +457,7 @@ def check_word_count(letters: int, lengths: range, cap: int, request: str):
             raise ParameterOutOfRange(f"{request} forms more than {cap} words")
 
 
-def poly_equal(a, b, table: CommutationTable, ref_order=None) -> bool:
+def poly_equal(a, b, table: CommutationTable) -> bool:
     """True iff ``a`` and ``b`` are equal as operators."""
     diff = OperatorPoly.coerce(a) - OperatorPoly.coerce(b)
-    return canonical_reduce(diff, table, ref_order).is_zero
+    return canonical_reduce(diff, table).is_zero

@@ -274,7 +274,8 @@ class RegistryConfig:
                 return None
             reg = ModeRegistry()
             for mode in bosonic:
-                trunc = int(truncation or mode.get("truncation", 16))
+                trunc = int(truncation if truncation is not None
+                            else mode.get("truncation", 16))
                 reg.add_boson(mode["name"], trunc)
             for mode in fermionic:
                 name = mode if isinstance(mode, str) else mode["name"]

@@ -124,8 +124,7 @@ def _statistics_parity(symbols) -> str:
 
 
 def contraction_def(o: Ordering, oprime: Ordering, basis: BasisChange,
-                    target_table: CommutationTable,
-                    ref_order=None) -> ContractionMatrix:
+                    target_table: CommutationTable) -> ContractionMatrix:
     """Definitional contraction: ordering difference of each symbol pair.
 
     For each ordered pair the two-factor word is ordered both ways, expanded
@@ -138,7 +137,7 @@ def contraction_def(o: Ordering, oprime: Ordering, basis: BasisChange,
         for b in symbols:
             lhs = basis.expand_poly(order_word(o, (a, b)))
             rhs = order_word_foreign(oprime, (a, b), basis)
-            diff = canonical_reduce(lhs - rhs, target_table, ref_order)
+            diff = canonical_reduce(lhs - rhs, target_table)
             if diff.operator_part():
                 raise NotCNumber(a.name, b.name, diff)
             value = diff.scalar_part()
@@ -202,11 +201,10 @@ def contraction_theta(o: Ordering, oprime: Ordering, basis: BasisChange,
 
 
 def tilde_contraction(o: Ordering, oprime: Ordering,
-                      target_table: CommutationTable,
-                      ref_order=None) -> ContractionMatrix:
+                      target_table: CommutationTable) -> ContractionMatrix:
     """Contraction over the target symbols themselves (identity basis)."""
     identity = BasisChange.identity(list(target_table.registry))
-    return contraction_def(o, oprime, identity, target_table, ref_order)
+    return contraction_def(o, oprime, identity, target_table)
 
 
 def solve_tilde(basis: BasisChange, contraction: ContractionMatrix) -> ContractionMatrix:
@@ -284,8 +282,7 @@ def transform_matrix(basis: BasisChange, tilde: ContractionMatrix) -> dict:
 def scalar_contraction_implicit(lambdas, lambdas_tilde, o: Ordering,
                                 oprime: Ordering, phi_basis: BasisChange,
                                 vphi_basis: BasisChange,
-                                common_table: CommutationTable,
-                                ref_order=None) -> ScalarContraction:
+                                common_table: CommutationTable) -> ScalarContraction:
     """Scalar contraction when only an implicit linear relation holds.
 
     ``lambdas`` weights the source symbols of ``phi_basis`` and
@@ -312,14 +309,14 @@ def scalar_contraction_implicit(lambdas, lambdas_tilde, o: Ordering,
 
     lhs_embed = phi_basis.expand_poly(x_phi)
     rhs_embed = vphi_basis.expand_poly(x_vphi)
-    if not canonical_reduce(lhs_embed - rhs_embed, common_table, ref_order).is_zero:
+    if not canonical_reduce(lhs_embed - rhs_embed, common_table).is_zero:
         raise RelationViolated(
             "weighted source and target sums are not the same operator"
         )
 
     lhs = phi_basis.expand_poly(order_poly(o, x_phi * x_phi))
     rhs = vphi_basis.expand_poly(order_poly(oprime, x_vphi * x_vphi))
-    diff = canonical_reduce(lhs - rhs, common_table, ref_order)
+    diff = canonical_reduce(lhs - rhs, common_table)
     if diff.operator_part():
         raise NotCNumber("X", "X", diff)
     return ScalarContraction(diff.scalar_part(), lam, lam_t, o, oprime)

@@ -16,8 +16,10 @@ recipe multiplies out distributively, paths with equal shifts summed entry by
 entry as a dense product sums them (rounding each product, where BLAS may
 fuse a multiply into the sum).  ``represent`` scatters each term once into the
 dense ``MatrixRep`` it returns; dense matrices are otherwise built only for
-callers that ask for one (``ModeRegistry.lowering``, ``LadderMap.dense``),
-and ``matexp`` is the one dense matrix function.
+callers that ask for one (``ModeRegistry.lowering``, ``LadderMap.dense``).
+Two functions exponentiate dense matrices: ``matexp`` here, and
+``gaussian._expm_stable``, which calls ``numpy.linalg.eigh`` on a Hermitian
+argument and ``scipy.linalg.expm`` otherwise.
 """
 
 from __future__ import annotations
@@ -306,11 +308,6 @@ class MatrixRep:
         return MatrixRep(self.data * scalar, self.registry)
 
     __rmul__ = __mul__
-
-    def to_json_rows(self):
-        return [
-            [[float(z.real), float(z.imag)] for z in row] for row in self.data
-        ]
 
 
 def _word_maps(p, identity: LadderMap, symbol_ladder):

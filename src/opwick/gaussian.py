@@ -130,13 +130,13 @@ def _expm_stable(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(m)
 
 
-def ordered_quadratic_exp_matrix(x_mat, y_mat, dxx, dxy, dyy,
-                                 max_terms=None) -> np.ndarray:
+def ordered_quadratic_exp_matrix(x_mat, y_mat, dxx, dxy, dyy) -> np.ndarray:
     """Matrix of the ordered exponential of a two-symbol quadratic form.
 
     Evaluates ``O[exp((1/2)(dxx x^2 + 2 dxy xy + dyy y^2))]`` for the
     ordering that puts every ``x`` left of every ``y``:
-    ``expm(dxx X^2/2) (sum_c dxy^c/c! X^c Y^c) expm(dyy Y^2/2)``.
+    ``expm(dxx X^2/2) (sum_c dxy^c/c! X^c Y^c) expm(dyy Y^2/2)``, the
+    middle sum cut once a term is negligible or after ``2 * dim + 10`` terms.
     """
     x_mat = np.asarray(x_mat, dtype=complex)
     y_mat = np.asarray(y_mat, dtype=complex)
@@ -146,8 +146,7 @@ def ordered_quadratic_exp_matrix(x_mat, y_mat, dxx, dxy, dyy,
     middle = np.eye(dim, dtype=complex)
     if dxy != 0:
         term = np.eye(dim, dtype=complex)
-        cap = max_terms if max_terms is not None else 2 * dim + 10
-        for c in range(1, cap + 1):
+        for c in range(1, 2 * dim + 11):
             term = (dxy / c) * (x_mat @ term @ y_mat)
             norm = np.linalg.norm(term)
             middle = middle + term
@@ -201,15 +200,17 @@ def gaussian_average_exp_quadratic(D, Q, J):
 
     Returns the scalar prefactor ``det(I - DQ)^(-1/2)`` and the matrix ``K``
     with ``K = (1/2) J^T (D^-1 - Q)^-1 J``; the resulting exponent is the
-    commuting quadratic ``sum_ij K_ij op_i op_j``.
+    commuting quadratic ``sum_ij K_ij op_i op_j``.  ``(D^-1 - Q)^-1`` is
+    solved as ``(I - DQ)^-1 D``, so a covariance too small to invert (a
+    subnormal ``D`` underflows to zero) still gives a finite ``K``.
     """
     D = np.asarray(D, dtype=complex)
     Q = np.asarray(Q, dtype=complex)
     J = np.asarray(J, dtype=complex)
     n = D.shape[0]
-    eye = np.eye(n)
-    prefactor = 1.0 / np.sqrt(np.linalg.det(eye - D @ Q))
-    M = np.linalg.inv(np.linalg.inv(D) - Q)
+    shifted = np.eye(n) - D @ Q
+    prefactor = 1.0 / np.sqrt(np.linalg.det(shifted))
+    M = np.linalg.solve(shifted, D)
     K = 0.5 * J.T @ M @ J
     return complex(prefactor), K
 
@@ -387,6 +388,12 @@ def squeeze_normal_form(g: float, truncation: int) -> SqueezeReport:
     if not (g >= 0 and math.isfinite(g)):
         raise ParameterOutOfRange(
             f"squeezing parameter {g} must be finite and nonnegative")
+    try:
+        c_exact = 1.0 / math.cosh(g / 2.0) ** 2
+    except OverflowError:
+        raise ParameterOutOfRange(
+            f"squeezing parameter {g} is too large: cosh(g/2)**2 overflows"
+        ) from None
     reg = _two_mode_registry(truncation)
     check_dense_dimension(reg.dimension)
     ab = reg.ladder("m_a", "lower") @ reg.ladder("m_b", "lower")
@@ -394,7 +401,6 @@ def squeeze_normal_form(g: float, truncation: int) -> SqueezeReport:
     reference = matexp(MatrixRep((g * (ab - ab_dag)).dense(), reg))
 
     t_exact = 2.0 * math.tanh(g / 2.0)
-    c_exact = 1.0 / math.cosh(g / 2.0) ** 2
     pref, k_dn, k_up, nu = _squeeze_exponent_from_pipeline(g, t_exact)
     pipeline = MatrixRep(
         _normal_exponential_matrix(reg, k_dn, k_up, nu, c_exact * pref),

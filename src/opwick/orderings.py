@@ -22,7 +22,7 @@ from .errors import (
     SymbolNotInBasis,
     SymmetricOnFermions,
 )
-from .algebra import CommutationTable, OperatorPoly, OperatorSymbol
+from .algebra import OperatorPoly, OperatorSymbol
 from .scalars import ScalarPoly
 
 __all__ = [
@@ -267,25 +267,6 @@ class BasisChange:
         return OperatorPoly.combine(
             (self.expand_word(word), coeff) for word, coeff in p.terms.items()
         )
-
-    def induced_bracket(self, alpha, beta, target_table: CommutationTable) -> ScalarPoly:
-        """Bracket of two source symbols implied by the target table."""
-        total = ScalarPoly.zero()
-        for k, ck in self.row(alpha):
-            for l, cl in self.row(beta):
-                total = total + ck * cl * target_table.bracket(k, l)
-        return total
-
-    def validate_against(self, source_table: CommutationTable,
-                         target_table: CommutationTable) -> bool:
-        """Check that expanded brackets reproduce the source table."""
-        names = list(self.source)
-        for a in names:
-            for b in names:
-                induced = self.induced_bracket(a, b, target_table)
-                if source_table.bracket(a, b) != induced:
-                    return False
-        return True
 
     def __repr__(self):
         body = ", ".join(f"{a}<-{k}:{v}" for (a, k), v in self.entries.items())

@@ -24,7 +24,7 @@ from .errors import (
     StatisticsMismatch,
     UnknownSymbol,
 )
-from .algebra import FERMION, OperatorPoly, OperatorSymbol, check_word_count
+from .algebra import FERMION, OperatorPoly, check_word_count
 from .orderings import order_poly
 from .scalars import GaussianRational, ScalarPoly
 
@@ -139,11 +139,17 @@ def tokenize(src: str):
 
 # -- parser ------------------------------------------------------------------
 
+# Factors open at once: each parenthesis, bracket, ordering, exp() or unary
+# minus opens one.  Parsing, evaluating and printing recurse a few frames per
+# level, so this keeps them far below the recursion limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens, registry):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.registry = registry
 
     def peek(self) -> Token:
@@ -192,10 +198,22 @@ class _Parser:
 
     def factor(self):
         tok = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(
+                tok.position, f"at most {MAX_NESTING} nested factors", tok.text
+            )
+        node = self._factor(tok)
+        self.depth -= 1
+        return node
+
+    def _factor(self, tok):
         if tok.kind == "number":
             self.advance()
             if "/" in tok.text:
                 p, q = tok.text.split("/")
+                if int(q) == 0:
+                    raise ExprSyntaxError(tok.position, "a nonzero denominator", tok.text)
                 return Scalar(GaussianRational(Fraction(int(p), int(q))))
             return Scalar(GaussianRational(int(tok.text)))
         if tok.kind == "(":

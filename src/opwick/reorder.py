@@ -237,8 +237,7 @@ def reorder_multivariate(poly_in_x, c_matrix, oprime: Ordering,
     )
 
 
-def express_univariate(p, x, table: CommutationTable, max_degree=None,
-                       ref_order=None) -> list:
+def express_univariate(p, x, table: CommutationTable) -> list:
     """Write ``p`` as a coefficient list in powers of ``x`` or raise.
 
     Peels the canonical form degree by degree; raises ``NotUnivariate`` when
@@ -246,9 +245,9 @@ def express_univariate(p, x, table: CommutationTable, max_degree=None,
     """
     p = OperatorPoly.coerce(p)
     x = OperatorPoly.coerce(x)
-    degree = max_degree if max_degree is not None else p.degree()
-    powers = [canonical_reduce(x**m, table, ref_order) for m in range(degree + 1)]
-    remainder = canonical_reduce(p, table, ref_order)
+    degree = p.degree()
+    powers = [canonical_reduce(x**m, table) for m in range(degree + 1)]
+    remainder = canonical_reduce(p, table)
     coeffs = [ScalarPoly.zero() for _ in range(degree + 1)]
     for m in range(degree, -1, -1):
         top_words = [w for w in remainder.terms if len(w) == m]
@@ -341,12 +340,11 @@ def exponential_series_rhs(oprime: Ordering, basis: BasisChange,
 
 def exponential_series_check(o: Ordering, oprime: Ordering, basis: BasisChange,
                              contraction: ContractionMatrix, lambdas,
-                             max_order: int, table: CommutationTable,
-                             ref_order=None):
+                             max_order: int, table: CommutationTable):
     """Compare both sides of the exponential identity term by term."""
     lhs = exponential_series(o, basis, lambdas, max_order)
     rhs = exponential_series_rhs(oprime, basis, contraction, lambdas, max_order)
-    diff = canonical_reduce(lhs - rhs, table, ref_order)
+    diff = canonical_reduce(lhs - rhs, table)
     return lhs, rhs, diff.is_zero
 
 

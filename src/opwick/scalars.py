@@ -340,43 +340,15 @@ class ScalarPoly:
         return out
 
     # -- degree bookkeeping -------------------------------------------------
-    def degree_in(self, names) -> int:
-        names = set(names)
-        best = 0
-        for mono in self.terms:
-            deg = sum(e for n, e in mono if n in names)
-            best = max(best, deg)
-        return best
-
-    def truncate_degree(self, names, max_degree: int) -> "ScalarPoly":
+    def truncate_degree(self, names, degree: int) -> "ScalarPoly":
+        """The terms of total degree at most ``degree`` in ``names``."""
         names = set(names)
         kept = {
             mono: coeff
             for mono, coeff in self.terms.items()
-            if sum(e for n, e in mono if n in names) <= max_degree
+            if sum(e for n, e in mono if n in names) <= degree
         }
         return ScalarPoly(kept)
-
-    # -- substitution --------------------------------------------------------
-    def substitute_power(self, name: str, order: int, value) -> "ScalarPoly":
-        """Rewrite ``name**order -> value`` in every monomial.
-
-        Realizes algebraic constants such as ``s**2 = 1/2`` without leaving
-        the polynomial ring.
-        """
-        value = GaussianRational.coerce(value)
-        terms = {}
-        for mono, coeff in self.terms.items():
-            exps = dict(mono)
-            e = exps.pop(name, 0)
-            q, r = divmod(e, order)
-            if r:
-                exps[name] = r
-            new_mono = tuple(sorted(exps.items()))
-            new_coeff = coeff * value**q
-            acc = terms.get(new_mono)
-            terms[new_mono] = new_coeff if acc is None else acc + new_coeff
-        return ScalarPoly(terms)
 
     # -- numeric evaluation ---------------------------------------------------
     def evaluate(self, assignments) -> complex:

@@ -455,12 +455,18 @@ def test_acceptance_7_structural_invariants():
             if 2 * m > n + 2:
                 degree_ok = degree_ok and poly.is_zero
                 break
-    stats = {}
+    # each transposition on a fresh table asks it for one swap sign
     (aa, aad), t1 = _one_mode_boson()
-    canonical_reduce(
-        OperatorPoly.from_word((aa, aa, aa, aad, aad, aad)), t1, stats=stats
-    )
-    degree_ok = degree_ok and stats["transpositions"] <= 9 * 2**3
+    transpositions = []
+    swap_sign = t1.swap_sign
+
+    def counted_swap_sign(x, y):
+        transpositions.append((x, y))
+        return swap_sign(x, y)
+
+    t1.swap_sign = counted_swap_sign
+    canonical_reduce(OperatorPoly.from_word((aa, aa, aa, aad, aad, aad)), t1)
+    degree_ok = degree_ok and len(transpositions) <= 9 * 2**3
     checks["laplacian degree drop + termination"] = degree_ok
 
     # parser round trip over generated expression trees

@@ -7,9 +7,11 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from opwick.algebra import OperatorPoly, canonical_reduce
 from opwick.cli import run_command
 from opwick.config import RegistryConfig, parse_scalar_value
 from opwick.errors import ConfigError
+from opwick.parsing import MAX_NESTING
 from opwick.scalars import GaussianRational, ScalarPoly
 
 
@@ -82,9 +84,10 @@ def test_config_quadrature_basis_consistency():
     cfg = RegistryConfig.load(QUAD)
     basis = cfg.basis()
     assert sorted(basis.source) == ["p", "q"]
-    induced = basis.induced_bracket("q", "p", cfg.table)
+    q, p = (OperatorPoly.from_symbol(basis.source[n]) for n in ("q", "p"))
+    induced = canonical_reduce(basis.expand_poly(q * p - p * q), cfg.table)
     s = ScalarPoly.symbol("s")
-    assert induced == 2 * ScalarPoly.i() * s**2
+    assert induced.scalar_part() == 2 * ScalarPoly.i() * s**2
 
 
 # -- commands -------------------------------------------------------------------
@@ -313,7 +316,8 @@ def test_malformed_input_is_a_typed_config_error(case, tmp_path):
 
 # Each request is refused with the typed error before any matrix is built
 # (dimension caps) or before a vacuous result is printed (an empty block, a
-# squeeze at a parameter outside the pipeline's range).
+# squeeze at a parameter outside the pipeline's range); the guard below fails
+# the test if a squeeze reference exponential is ever formed.
 OUT_OF_RANGE = {
     "numeric_dimension_over_cap": (
         ["numeric", "--trunc", "100000", "--block", "3", "a", "a"],
@@ -331,15 +335,38 @@ OUT_OF_RANGE = {
         ["squeeze", "--g", "nan", "--trunc", "12"], "ParameterOutOfRange"),
     "squeeze_infinite_g": (
         ["squeeze", "--g", "inf", "--trunc", "12"], "ParameterOutOfRange"),
+    # cosh(g/2)**2 overflows a float
+    "squeeze_overflowing_g": (
+        ["squeeze", "--g", "1e300", "--trunc", "10"], "ParameterOutOfRange"),
+    # 0 is a truncation, not "use the configured one"
+    "numeric_zero_truncation": (
+        ["numeric", "--trunc", "0", "--block", "3", "a", "a"],
+        "TruncationTooSmall"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
-def test_out_of_range_request_is_a_typed_error(case):
+def test_out_of_range_request_is_a_typed_error(case, monkeypatch):
+    def matexp(m):
+        raise AssertionError("the reference was built for a refused request")
+
+    monkeypatch.setattr("opwick.gaussian.matexp", matexp)
     argv, error_type = OUT_OF_RANGE[case]
     status, out = run_command(["-c", BOSON] + argv)
     assert status == 1
     assert json.loads(out)["error"]["type"] == error_type
+
+
+def test_squeeze_at_a_subnormal_g_is_finite():
+    # g/2 underflows to zero, so the literal covariance g/2 * I cannot be
+    # inverted; the Gaussian average must not need its inverse
+    status, out = run_command(
+        ["-c", BOSON, "--format", "json", "squeeze", "--g", "5e-324",
+         "--trunc", "10"])
+    assert status == 0
+    doc = json.loads(out)
+    for key in ("pipeline_vs_reference", "literal_vs_reference"):
+        assert doc[key] <= 1e-300
 
 
 def test_squeeze_rejects_negative_block_before_running(monkeypatch):
@@ -366,6 +393,10 @@ REFUSED_WORK = {
                             "exp(a + a†; 12)"],
     "exp_degree_of_one_term_too_high": ["reorder", "--from", "weyl", "--to",
                                         "normal", "exp(a; 5000)"],
+    # 1023 words, under the word cap, but the oracle's Weyl average would
+    # enumerate 9! arrangements for each of the 512 words of length 9
+    "verify_weyl_arrangements_too_many": ["verify", "--from", "weyl", "--to",
+                                          "normal", "--max-len", "9"],
 }
 
 
@@ -379,3 +410,40 @@ def test_oversized_request_is_refused_before_any_work(case, monkeypatch):
     status, out = run_command(["-c", BOSON] + REFUSED_WORK[case])
     assert status == 1
     assert json.loads(out)["error"]["type"] == "ParameterOutOfRange"
+
+
+# -- malformed expressions ------------------------------------------------------
+
+# Each expression is refused by the parser as a typed syntax error: a zero
+# denominator, or nesting deeper than the parser's limit (which would
+# otherwise exhaust the interpreter's recursion limit).
+BAD_EXPRESSIONS = {
+    "zero_denominator": "1/0",
+    "zero_denominator_in_product": "2/0*a",
+    "nested_parentheses": "(" * 400 + "a" + ")" * 400,
+    "nested_unary_minus": "a*" + "-" * 1500 + "a",
+    "nested_ordering": "weyl[" * 300 + "a" + "]" * 300,
+    "nested_commutator": "comm(" * 300 + "a, a)" + ", a)" * 299,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EXPRESSIONS))
+def test_malformed_expression_is_a_typed_syntax_error(case):
+    status, out = run_command(
+        ["-c", BOSON, "reorder", "--from", "weyl", "--to", "normal",
+         BAD_EXPRESSIONS[case]])
+    assert status == 1
+    assert json.loads(out)["error"]["type"] == "ExprSyntaxError"
+
+
+def test_nesting_at_the_limit_is_evaluated():
+    depth = MAX_NESTING - 1  # the innermost symbol is one more factor
+    for expression in ("(" * depth + "a" + ")" * depth,
+                       "a*" + "-" * depth + "a",
+                       "weyl[" * depth + "a" + "]" * depth,
+                       "comm(" * depth + "a, a)" + ", a)" * (depth - 1)):
+        for fmt in ("text", "json", "latex"):
+            status, _ = run_command(
+                ["-c", BOSON, "--format", fmt, "reorder", "--from", "weyl",
+                 "--to", "normal", expression])
+            assert status == 0

@@ -203,14 +203,6 @@ def test_represent_exact_rejects_bosons():
         represent_exact(OperatorPoly.from_symbol(a), reg)
 
 
-def test_matrix_json_rows():
-    reg, a, ad = one_mode_registry(3)
-    m = represent(OperatorPoly.from_symbol(a), reg)
-    rows = m.to_json_rows()
-    assert rows[0][1] == [1.0, 0.0]
-    assert rows[1][2] == [pytest.approx(2**0.5), 0.0]
-
-
 def test_symbolic_reordering_identities_hold_numerically():
     # outputs of the reordering transforms, with scalars evaluated, match
     # the direct word products on safe blocks

@@ -84,11 +84,10 @@ def test_verify_instance_reports_json(boson_mode):
     a, ad, table = boson_mode
     basis = BasisChange.identity([a, ad])
     A, N = Ordering.antinormal(), Ordering.normal()
-    rep = verify_instance(A, N, basis, table, (a, ad), seed=7)
+    rep = verify_instance(A, N, basis, table, (a, ad))
     doc = json.loads(rep.to_json())
     assert doc["passed"] is True
     assert doc["word"] == ["a", "a†"]
-    assert doc["seed"] == 7
 
 
 def test_sweep_single_mode_antinormal(boson_mode):
@@ -97,7 +96,7 @@ def test_sweep_single_mode_antinormal(boson_mode):
     report = sweep(
         Ordering.antinormal(), Ordering.normal(), basis, table, 3, [a, ad]
     )
-    assert report.all_passed
+    assert report.total > 0 and report.failed == 0
     assert report.total == 1 + 2 + 4 + 8
 
 
@@ -112,7 +111,7 @@ def test_sweep_fermionic_timed(fermion_timed):
         4,
         [c1, c1d, c2, c2d],
     )
-    assert report.all_passed
+    assert report.total > 0 and report.failed == 0
     assert report.total == 1 + 4 + 16 + 64 + 256
 
 
@@ -139,8 +138,8 @@ def test_sweep_random_rational_table_with_mixing_basis():
     )
     o = Ordering.explicit("o", ["φ0", "φ1"])
     op = Ordering.explicit("op", ["v2", "v0", "v1"])
-    report = sweep(o, op, basis, table, 5, phis, seed=90125)
-    assert report.all_passed
+    report = sweep(o, op, basis, table, 5, phis)
+    assert report.total > 0 and report.failed == 0
     assert report.total == 1 + 2 + 4 + 8 + 16 + 32
 
 

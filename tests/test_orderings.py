@@ -12,7 +12,6 @@ from opwick import (
     FERMION,
     BasisChange,
     CommutationTable,
-    GaussianRational,
     OperatorPoly,
     OperatorSymbol,
     Ordering,
@@ -104,11 +103,10 @@ def test_foreign_ordering_quadrature_square(quadrature_basis):
         {(a, a): s**2, (ad, a): 2 * s**2, (ad, ad): s**2}
     )
     assert got == expected
-    # q*q - N-ordered result = s^2 [a, a†] = 1/2 once s^2 is substituted
+    # q*q - N-ordered result = s^2 [a, a†] = s^2, which is 1/2 at s^2 = 1/2
     direct = basis.expand_word((q, q))
     diff = canonical_reduce(direct - got, table)
-    value = diff.scalar_part().substitute_power("s", 2, GaussianRational(Fraction(1, 2)))
-    assert value == ScalarPoly.const(Fraction(1, 2))
+    assert diff.scalar_part() == s**2
     assert diff.operator_part().is_zero
 
 
@@ -184,18 +182,6 @@ def test_weyl_coefficients_sum_to_one(two_boson_modes):
         for coeff in out.terms.values():
             total = total + coeff
         assert total == ScalarPoly.one()
-
-
-def test_basis_change_validation(quadrature_basis):
-    q, p, basis, table = quadrature_basis
-    s = ScalarPoly.symbol("s")
-    i2 = ScalarPoly.i() * 2
-    source_table = CommutationTable(
-        [q, p], {("q", "p"): i2 * s**2}
-    )
-    assert basis.validate_against(source_table, table)
-    bad = CommutationTable([q, p], {("q", "p"): ScalarPoly.one()})
-    assert not basis.validate_against(bad, table)
 
 
 def test_basis_change_rejects_empty_row():

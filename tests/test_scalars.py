@@ -77,19 +77,10 @@ def test_evaluate_unassigned_symbol():
         evaluate_scalar(p, NumericContext({}))
 
 
-def test_substitute_power():
-    s = ScalarPoly.symbol("s")
-    p = s**3 + s**2 + 1
-    q = p.substitute_power("s", 2, GaussianRational(Fraction(1, 2)))
-    expected = ScalarPoly.const(Fraction(1, 2)) * s + ScalarPoly.const(Fraction(3, 2))
-    assert q == expected
-
-
 def test_truncate_degree():
     x, y = ScalarPoly.symbol("x"), ScalarPoly.symbol("y")
     p = x**3 + x * y + y + 1
     assert p.truncate_degree({"x", "y"}, 2) == x * y + y + 1
-    assert p.degree_in({"x"}) == 3
 
 
 coeffs = st.integers(min_value=-4, max_value=4)
